@@ -2,8 +2,8 @@
 
 Counts are exact integers; densities are formed by one float division at
 the end. The workhorse is a per-column sieve: column a is invisible exactly
-at multiples of its minimal moduli, so a bytearray stride-fill per column
-gives the whole [1,N]^2 census in O(N^2 / m) byte writes.
+at multiples of its minimal moduli, so one strided fill per modulus
+(`multiples_mask`) gives the whole [1,N]^2 census in O(N^2 / m) writes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .arith import factorize, primes_up_to
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
-from .visibility import ProfileCache, is_visible_direct
+from .visibility import ProfileCache, is_visible_direct, modulus, multiples_mask
 
 DEFAULT_N_CAP = 10_000
 SUBSET_MODE = "subset-enumeration"
@@ -48,32 +48,6 @@ def _check_n(n: int, cap: int | None) -> None:
         raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
 
 
-def _fill_column(buf: bytearray, zeros: bytes, mods, n: int) -> None:
-    """Mark buf[b] = 1 at every b <= n divisible by some modulus."""
-    buf[:] = zeros
-    for m in mods:
-        if m <= n:
-            buf[m::m] = b"\x01" * (n // m)
-
-
-def _count_visible_range(cache: ProfileCache, a_lo: int, a_hi: int, n: int) -> int:
-    """Visible points with a in [a_lo, a_hi], b in [1, n]."""
-    buf = bytearray(n + 1)
-    zeros = bytes(n + 1)
-    total = 0
-    for a in range(a_lo, a_hi + 1):
-        _fill_column(buf, zeros, cache.minimal_moduli(a), n)
-        total += n - buf.count(1, 1, n + 1)
-    return total
-
-
-def empirical_density(family: PolyFamily, n: int, cap: int | None = None) -> CensusResult:
-    """Exact visible count over [1,N]^2 and its density."""
-    _check_n(n, cap)
-    count = _count_visible_range(ProfileCache(family), 1, n, n)
-    return CensusResult(n, count, count / (n * n))
-
-
 def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tuple[int, int, float]]:
     """(N', visible_count, density) for every prefix square N' = 1..n.
 
@@ -83,19 +57,23 @@ def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tup
     """
     _check_n(n, cap)
     cache = ProfileCache(family)
-    buf = bytearray(n + 1)
-    zeros = bytes(n + 1)
-    row_bad = np.zeros(n + 1, dtype=np.int64)
+    row_bad = np.zeros(n, dtype=np.int64)  # row_bad[b - 1]: invisible (a', b) so far
     out = []
     total = 0
     for a in range(1, n + 1):
-        _fill_column(buf, zeros, cache.minimal_moduli(a), n)
-        col_vis = a - buf.count(1, 1, a + 1)
-        row_vis = (a - 1) - int(row_bad[a])
+        col = multiples_mask(cache.minimal_moduli(a), 1, n)
+        col_vis = a - int(np.count_nonzero(col[:a]))
+        row_vis = (a - 1) - int(row_bad[a - 1])
         total += col_vis + row_vis
         out.append((a, total, total / (a * a)))
-        row_bad += np.frombuffer(buf, dtype=np.uint8)
+        row_bad += col
     return out
+
+
+def empirical_density(family: PolyFamily, n: int, cap: int | None = None) -> CensusResult:
+    """Exact visible count over [1,N]^2 and its density: the last density row."""
+    _, count, density = density_rows(family, n, cap)[-1]
+    return CensusResult(n, count, density)
 
 
 def brute_count(family: PolyFamily, n: int, cap: int | None = None) -> int:
@@ -158,9 +136,7 @@ def exact_count_ie(
     total = 0
     for a in range(1, n + 1):
         if mode == SUBSET_MODE:
-            pa = cache.value(a)
-            mods = [pa // gcd(pa, cache.value(t)) for t in range(1, a)]
-            total += _ie_subsets(mods, n)
+            total += _ie_subsets([modulus(family, a, t) for t in range(1, a)], n)
         else:
             mods = [m for m in cache.minimal_moduli(a) if m <= n]
             total += _ie_pruned(mods, n)
@@ -242,10 +218,7 @@ def coprimality_count(family: PolyFamily, n: int, cap: int | None = None) -> int
     """
     _check_n(n, cap)
     cache = ProfileCache(family)
-    buf = bytearray(n + 1)
-    zeros = bytes(n + 1)
-    total = 0
-    for a in range(1, n + 1):
-        _fill_column(buf, zeros, cache.prime_set(a), n)
-        total += n - buf.count(1, 1, n + 1)
-    return total
+    return sum(
+        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a), 1, n)))
+        for a in range(1, n + 1)
+    )

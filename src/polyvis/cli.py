@@ -12,9 +12,8 @@
 Each run prints a single JSON envelope {command, family?, payload,
 elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 0 success, 1 reproduction failure, 2 bad input, 3 resource cap exceeded.
-The environment variable LATTICE_SCOPE_CAP overrides the built-in N and
-region caps; --threads is accepted as a worker hint and never changes
-results.
+The environment variable LATTICE_SCOPE_CAP, a positive integer, overrides
+the built-in N and region caps.
 """
 
 from __future__ import annotations
@@ -41,38 +40,34 @@ def _scope_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"LATTICE_SCOPE_CAP={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"LATTICE_SCOPE_CAP={raw!r} must be a positive integer")
+    return cap
+
+
+def _parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
+    """Comma list of integers, exactly count of them when count is given.
+
+    what completes the error message, e.g. "--max must be 'X,Y'".
+    """
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise ValueError(f"{what}, got {text!r}")
+    return values
 
 
 def _parse_point(text: str) -> LatticePoint:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"point must be 'a,b', got {text!r}")
-    try:
-        a, b = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"point must be two integers, got {text!r}") from None
-    return LatticePoint(a, b)
+    return LatticePoint(*_parse_ints(text, "point must be 'a,b'", 2))
 
 
 def _parse_region(text: str) -> geometry.Region:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"region must be 'minx,maxx,miny,maxy', got {text!r}")
-    try:
-        mnx, mxx, mny, mxy = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"region must be four integers, got {text!r}") from None
-    return geometry.Region(mnx, mxx, mny, mxy)
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{what} must be a comma list of integers, got {text!r}") from None
+    return geometry.Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
 
 
 def _family(args) -> PolyFamily:
@@ -101,19 +96,19 @@ def cmd_visible(args):
 def cmd_density(args):
     fam = _family(args)
     cap = _scope_cap()
-    result = census.empirical_density(fam, args.n, cap=cap)
+    rows = census.density_rows(fam, args.n, cap=cap)
     coprime = census.coprimality_count(fam, args.n, cap=cap)
     constant = census.constant_cp(fam, args.prime_bound)
     if args.out:
-        rows = census.density_rows(fam, args.n, cap=cap)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["N", "visible_count", "density"])
             w.writerows(rows)
+    _, visible_count, density = rows[-1]
     payload = {
-        "n": result.n,
-        "visible_count": result.visible_count,
-        "density": result.density_estimate,
+        "n": args.n,
+        "visible_count": visible_count,
+        "density": density,
         "coprimality_count": coprime,
         "c_p_constant": constant.value,
         "tail_bound": constant.tail_bound,
@@ -135,7 +130,7 @@ def cmd_count(args):
 def cmd_construct(args):
     pt = _parse_point(args.point)
     if args.multi:
-        ells = _parse_int_list(args.multi, "--multi")
+        ells = _parse_ints(args.multi, "--multi must be a comma list of integers")
         got = construct_multi_prime(pt, ells)
         payload = got.to_record()
         payload["components"] = [
@@ -150,7 +145,7 @@ def cmd_construct(args):
 def cmd_blocks(args):
     fam = _family(args)
     cap = _scope_cap()
-    mx, my = _parse_int_list(args.max, "--max")
+    mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
     region = geometry.Region(1, mx, 1, my)
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
@@ -237,7 +232,9 @@ def cmd_reproduce(args):
     if args.target == "illustration":
         items = _reproduce_illustration()
     else:
-        rows_filter = set(_parse_int_list(args.rows, "--rows")) if args.rows else None
+        rows_filter = None
+        if args.rows:
+            rows_filter = set(_parse_ints(args.rows, "--rows must be a comma list of integers"))
         items = _reproduce_survey(rows_filter)
     passed = sum(1 for it in items if it["passed"])
     payload = {
@@ -254,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polyvis",
         description="visibility of lattice points along polynomial curve families",
     )
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker hint; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("visible", help="visibility verdict for one point")

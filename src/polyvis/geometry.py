@@ -9,13 +9,14 @@ order is frozen everywhere: x ascending outer, y ascending inner.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily, parse_family
-from .visibility import ProfileCache
+from .visibility import ProfileCache, multiples_mask
 
 DEFAULT_REGION_CAP = 2000  # per dimension
 DEFAULT_MAX_LAYERS = 200
@@ -66,36 +67,56 @@ def _check_cap(region: Region, cap: int | None) -> None:
         )
 
 
-def _invisible_column(cache: ProfileCache, a: int, min_y: int, max_y: int) -> np.ndarray:
-    """Boolean array over y in [min_y, max_y]: True where (a, y) is invisible."""
-    col = np.zeros(max_y - min_y + 1, dtype=bool)
-    for m in cache.minimal_moduli(a):
-        if m > max_y:
-            continue
-        start = ((min_y + m - 1) // m) * m
-        if start <= max_y:
-            col[start - min_y :: m] = True
-    return col
-
-
 def classify_region(family: PolyFamily, region: Region, cap: int | None = None) -> np.ndarray:
     """Visibility flags for the whole region; grid[i, j] is (min_x+i, min_y+j)."""
     _check_cap(region, cap)
     cache = ProfileCache(family)
     grid = np.empty((region.width, region.height), dtype=bool)
     for i in range(region.width):
-        grid[i] = ~_invisible_column(cache, region.min_x + i, region.min_y, region.max_y)
+        grid[i] = ~multiples_mask(cache.minimal_moduli(region.min_x + i), region.min_y, region.max_y)
     return grid
 
 
 def region_to_csv(grid: np.ndarray, region: Region, path) -> None:
-    """x,y,visible rows (0/1), row-major by x then y."""
+    """x,y,visible rows (0/1), row-major by x then y, in csv.writer's dialect.
+
+    Each column is written as one string: the x field joined over the
+    precomputed ",y,flag" row tails, so no per-row writer call is made and
+    no more than one column is ever held as text.
+    """
+    ys = range(region.min_y, region.max_y + 1)
+    tails = np.array([[f",{y},{v}\r\n" for y in ys] for v in (0, 1)], dtype=object)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "visible"])
-        for i in range(region.width):
-            for j in range(region.height):
-                w.writerow([region.min_x + i, region.min_y + j, int(grid[i, j])])
+        fh.write("x,y,visible\r\n")
+        for i, col in enumerate(grid):
+            x = str(region.min_x + i)
+            fh.write(x + x.join(np.where(col, tails[1], tails[0]).tolist()))
+
+
+def _iter_blocks(cache: ProfileCache, size: int, region: Region, x_lo: int, x_hi: int):
+    """Every all-invisible size x size block with corner x in [x_lo, x_hi], in scan order.
+
+    A sliding window holds the size columns under the current corner x, so
+    each column is sieved once however many corners it belongs to.
+    """
+    if size < 1:
+        raise ValueError(f"block size must be >= 1, got {size}")
+    lo = max(x_lo, region.min_x)
+    hi = min(x_hi, region.max_x - size + 1)
+    span = region.height
+    if span < size or lo > hi:
+        return
+    window: deque[np.ndarray] = deque(maxlen=size)
+    for a in range(lo, hi + size):
+        window.append(multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y))
+        if len(window) < size:
+            continue
+        rows = np.logical_and.reduce(window)
+        if not rows.any():
+            continue
+        run = np.logical_and.reduce([rows[dy : span - size + 1 + dy] for dy in range(size)])
+        for idx in np.flatnonzero(run):
+            yield BlockHit(LatticePoint(a - size + 1, region.min_y + int(idx)), size)
 
 
 def scan_block_range(
@@ -112,35 +133,7 @@ def scan_block_range(
     scan-order-first answer by taking the minimum (x, y) over the partial
     results; running it over the full corner range is exactly find_block.
     """
-    if size < 1:
-        raise ValueError(f"block size must be >= 1, got {size}")
-    cache = cache or ProfileCache(family)
-    lo = max(x_lo, region.min_x)
-    hi = min(x_hi, region.max_x - size + 1)
-    span = region.max_y - region.min_y + 1
-    if span < size:
-        return None
-    cols: dict[int, np.ndarray] = {}
-
-    def col(a: int) -> np.ndarray:
-        got = cols.get(a)
-        if got is None:
-            got = cols[a] = _invisible_column(cache, a, region.min_y, region.max_y)
-        return got
-
-    for x in range(lo, hi + 1):
-        window = col(x)
-        for dx in range(1, size):
-            window = window & col(x + dx)
-        if not window.any():
-            continue
-        run = window[: span - size + 1]
-        for dy in range(1, size):
-            run = run & window[dy : span - size + 1 + dy]
-        hit = np.flatnonzero(run)
-        if hit.size:
-            return BlockHit(LatticePoint(x, region.min_y + int(hit[0])), size)
-    return None
+    return next(_iter_blocks(cache or ProfileCache(family), size, region, x_lo, x_hi), None)
 
 
 def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> BlockHit | None:
@@ -152,34 +145,7 @@ def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = 
 def find_all_blocks(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> list[BlockHit]:
     """Every block corner in the region, in scan order."""
     _check_cap(region, cap)
-    if size < 1:
-        raise ValueError(f"block size must be >= 1, got {size}")
-    cache = ProfileCache(family)
-    span = region.max_y - region.min_y + 1
-    if span < size:
-        return []
-    hits: list[BlockHit] = []
-    cols: list[np.ndarray] = []
-    for x in range(region.min_x, region.max_x - size + 2):
-        if not cols:
-            cols = [
-                _invisible_column(cache, x + dx, region.min_y, region.max_y)
-                for dx in range(size)
-            ]
-        else:
-            cols.pop(0)
-            cols.append(_invisible_column(cache, x + size - 1, region.min_y, region.max_y))
-        window = cols[0]
-        for c in cols[1:]:
-            window = window & c
-        if not window.any():
-            continue
-        run = window[: span - size + 1]
-        for dy in range(1, size):
-            run = run & window[dy : span - size + 1 + dy]
-        for idx in np.flatnonzero(run):
-            hits.append(BlockHit(LatticePoint(x, region.min_y + int(idx)), size))
-    return hits
+    return list(_iter_blocks(ProfileCache(family), size, region, region.min_x, region.max_x))
 
 
 def blocks_to_csv(hits, path) -> None:
@@ -239,10 +205,14 @@ def find_point_with_radius(
 
 
 # The 2x2 invisible-block survey bundled for the `reproduce` command: one row
-# per quadratic family A*x^2 + B*x, with the reported lower-left corner or
-# None when the [1,1000]^2 search came up empty. Rows 11 and 12 as shipped do
-# not re-verify (the corners are visible points); the nearest true corners
-# are (114, 759) and (21, 440). reproduce reports them as failures.
+# per quadratic family A*x^2 + B*x, with the reported lower-left corner, or
+# None when a [1,1000]^2 search came up empty. The corners do not all come
+# from that square: rows 3-6 and 9 list blocks that extend past it, e.g.
+# (25, 1000) and (15, 4575), which find_block over [1,1000]^2 cannot return.
+# reproduce therefore re-verifies the four points of each listed corner
+# instead of searching. Rows 11 and 12 as shipped do not re-verify (the
+# corners are visible points); the nearest true corners are (114, 759) and
+# (21, 440). reproduce reports them as failures.
 BLOCK_SURVEY = (
     (1, (1, 1), (13, 195)),
     (2, (2, 5), (14, 825)),

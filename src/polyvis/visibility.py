@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .arith import factorize, valuation
 from .polyfam import LatticePoint, PolyFamily
 
@@ -34,6 +36,21 @@ class ColumnProfile:
     moduli: tuple[tuple[int, int], ...]  # (t, m_{a,t}) for t in [1, a)
     minimal_moduli: tuple[int, ...]  # divisibility-minimal values, ascending
     lcm_prime_set: tuple[int, ...]  # primes dividing lcm of the d_t
+
+
+def multiples_mask(mods, lo: int, hi: int) -> np.ndarray:
+    """Boolean array over b in [lo, hi]: True where some modulus in mods divides b.
+
+    The column sieve: with a column's minimal moduli it marks the invisible
+    points of that column, with its lcm prime set the points failing the
+    lcm certificate.
+    """
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    for m in mods:
+        start = -(-lo // m) * m
+        if start <= hi:
+            mask[start - lo :: m] = True
+    return mask
 
 
 def modulus(family: PolyFamily, a: int, t: int) -> int:
@@ -89,31 +106,14 @@ def _minimal_by_divisibility(values: set[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _lcm_prime_set(family: PolyFamily, a: int) -> tuple[int, ...]:
-    """Primes dividing L_P(a) = lcm of d_t = P(a)/gcd over t < a.
-
-    p divides some d_t exactly when v_p(P(t)) < v_p(P(a)) for some t, so
-    the lcm itself never has to be materialized.
-    """
-    if a == 1:
-        return ()
-    primes = []
-    for p, e in factorize(family.eval(a)):
-        for t in range(1, a):
-            if valuation(p, family.eval(t)) < e:
-                primes.append(p)
-                break
-    return tuple(primes)
-
-
 def column_profile(family: PolyFamily, a: int) -> ColumnProfile:
     """Full modulus list for column a plus its minimal set and lcm prime support."""
     if a < 1:
         raise ValueError(f"column index must be >= 1, got {a}")
-    pa = family.eval(a)
-    pairs = tuple((t, pa // gcd(pa, family.eval(t))) for t in range(1, a))
-    minimal = _minimal_by_divisibility({m for _, m in pairs})
-    return ColumnProfile(a, pairs, minimal, _lcm_prime_set(family, a))
+    cache = ProfileCache(family)
+    pa = cache.value(a)
+    pairs = tuple((t, pa // gcd(pa, cache.value(t))) for t in range(1, a))
+    return ColumnProfile(a, pairs, cache.minimal_moduli(a), cache.prime_set(a))
 
 
 def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
@@ -124,11 +124,14 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
     visible. The converse of the first step fails, e.g. x^2 + x at (1, 2),
     where L_P(1) = 1 but gcd(P(1), 2) = 2.
     """
-    return all(point.b % p != 0 for p in _lcm_prime_set(family, point.a))
+    return all(point.b % p != 0 for p in ProfileCache(family).prime_set(point.a))
 
 
 class ProfileCache:
     """Column data for one family, computed once per column and reused.
+
+    The one implementation of column moduli and lcm prime sets:
+    column_profile, lcm_criterion and every sieve read their columns here.
 
     Grid scans and censuses touch every column many times; the cache keeps
     evaluated P-values, minimal modulus sets, and lcm prime sets keyed by
@@ -138,14 +141,15 @@ class ProfileCache:
 
     def __init__(self, family: PolyFamily):
         self.family = family
-        self._values: list[int] = [0]  # P(0) = 0; extended on demand
+        self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
         self._primes: dict[int, tuple[int, ...]] = {}
 
     def value(self, x: int) -> int:
-        while len(self._values) <= x:
-            self._values.append(self.family.eval(len(self._values)))
-        return self._values[x]
+        got = self._values.get(x)
+        if got is None:
+            got = self._values[x] = self.family.eval(x)
+        return got
 
     def minimal_moduli(self, a: int) -> tuple[int, ...]:
         got = self._minimal.get(a)
@@ -156,11 +160,17 @@ class ProfileCache:
         return got
 
     def prime_set(self, a: int) -> tuple[int, ...]:
+        """Primes dividing L_P(a) = lcm of d_t = P(a)/gcd over t < a.
+
+        p divides some d_t exactly when v_p(P(t)) < v_p(P(a)) = e for some t,
+        so the lcm itself never has to be materialized. Whether p^e divides
+        P(t) depends only on t mod p^e, so t <= p^e covers every t < a.
+        """
         got = self._primes.get(a)
         if got is None:
             primes = []
             for p, e in factorize(self.value(a)):
-                for t in range(1, a):
+                for t in range(1, min(a, p**e + 1)):
                     if valuation(p, self.value(t)) < e:
                         primes.append(p)
                         break

@@ -5,7 +5,6 @@ import pytest
 from polyvis import (
     PRUNED_MODE,
     SUBSET_MODE,
-    ProfileCache,
     ResourceLimitError,
     brute_count,
     constant_cp,
@@ -18,7 +17,6 @@ from polyvis import (
     parse_family,
     rho,
 )
-from polyvis.census import _count_visible_range
 
 X = parse_family("1")
 XSQ = parse_family("1,0")
@@ -74,6 +72,13 @@ def test_density_rows_match_empirical(family):
     for n, count, dens in rows:
         assert count == empirical_density(family, n).visible_count
         assert dens == count / (n * n)
+
+
+def test_empirical_density_is_last_density_row_and_brute_count(family):
+    for n in range(1, 21):
+        res = empirical_density(family, n)
+        assert (res.n, res.visible_count, res.density_estimate) == density_rows(family, n)[-1]
+        assert res.visible_count == brute_count(family, n)
 
 
 def test_density_rows_final_row():
@@ -194,11 +199,3 @@ def test_range_checks():
         exact_count_ie(X, 27, SUBSET_MODE)
     with pytest.raises(ValueError):
         exact_count_ie(X, 10, "fast")
-
-
-def test_range_partition_sums_to_total(family):
-    cache = ProfileCache(family)
-    n = 40
-    chunks = [(1, 13), (14, 30), (31, 40)]
-    total = sum(_count_visible_range(cache, lo, hi, n) for lo, hi in chunks)
-    assert total == empirical_density(family, n).visible_count

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvis import (
     BLOCK_SURVEY,
+    DEGREE_CAP,
     BlockHit,
     LatticePoint,
     ProfileCache,
@@ -124,6 +127,42 @@ def test_scan_block_range_partition_matches_full():
     assert best == full == BlockHit(LatticePoint(13, 195), 2)
 
 
+@st.composite
+def block_cases(draw):
+    # Low degrees half the time: blocks larger than 1x1 are rare at high degree.
+    lead = draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(0, 3), max_size=draw(st.sampled_from((2, DEGREE_CAP - 1)))))
+    family = parse_family(",".join(map(str, [lead, *rest])), normalize=True)
+    min_x, min_y = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    region = Region(min_x, min_x + draw(st.integers(0, 39)), min_y, min_y + draw(st.integers(0, 99)))
+    cut1 = draw(st.integers(region.min_x - 1, region.max_x))
+    cut2 = draw(st.integers(cut1, region.max_x))
+    return family, draw(st.integers(1, 3)), region, cut1, cut2
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_cases())
+def test_block_scans_agree(case):
+    """find_all_blocks, find_block and a 3-way scan_block_range split see the same blocks."""
+    family, size, region, cut1, cut2 = case
+    hits = find_all_blocks(family, size, region)
+    first = find_block(family, size, region)
+    assert hits[0:1] == ([first] if first else [])
+
+    parts = ((region.min_x, cut1), (cut1 + 1, cut2), (cut2 + 1, region.max_x))
+    found = [h for lo, hi in parts if (h := scan_block_range(family, size, region, lo, hi))]
+    assert min(found, key=lambda h: (h.corner.a, h.corner.b), default=None) == first
+
+    grid = classify_region(family, region)
+    expected = [
+        BlockHit(LatticePoint(region.min_x + i, region.min_y + j), size)
+        for i in range(region.width - size + 1)
+        for j in range(region.height - size + 1)
+        if not grid[i : i + size, j : j + size].any()
+    ]
+    assert hits == expected
+
+
 def test_block_csv(tmp_path):
     hits = find_all_blocks(X, 2, square(30))
     path = tmp_path / "blocks.csv"
@@ -144,6 +183,23 @@ def test_region_csv(tmp_path):
     assert len(rows) == 5
     for x, y, flag in rows[1:]:
         assert flag == str(int(grid[int(x) - 2, int(y) - 5]))
+
+
+@pytest.mark.parametrize(
+    "region", [Region(7, 19, 95, 131), Region(13, 13, 1, 200), Region(3, 40, 9, 9)]
+)
+def test_region_csv_matches_csv_writer_bytes(tmp_path, region):
+    grid = classify_region(XSQ_X, region)
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "visible"])
+        for i in range(region.width):
+            for j in range(region.height):
+                w.writerow([region.min_x + i, region.min_y + j, int(grid[i, j])])
+    path = tmp_path / "grid.csv"
+    region_to_csv(grid, region, path)
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_radius_examples():

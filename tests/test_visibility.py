@@ -2,15 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyvis import (
+    DEGREE_CAP,
     LatticePoint,
     ProfileCache,
     column_profile,
+    factorize,
     gcd_p,
     is_visible,
     is_visible_direct,
     lcm_criterion,
+    lcm_many,
     modulus,
     parse_family,
 )
@@ -117,12 +122,23 @@ def test_minimal_moduli_block_the_same_points(family):
 
 
 def test_prime_set_within_prime_support(family):
-    from polyvis import factorize
-
     for a in range(2, 60):
         prof = column_profile(family, a)
         support = {p for p, _ in factorize(family.eval(a))}
         assert set(prof.lcm_prime_set) <= support
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(0, 4), min_size=1, max_size=DEGREE_CAP),
+    a=st.integers(1, 40),
+)
+@example(coeffs=[3, 1, 0], a=6)  # v_2(P(t)) < 2 first at t = 3, past p = 2
+def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a):
+    """prime_set(a) lists exactly the primes of lcm(m_{a,t}), taken from modulus()."""
+    family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])), normalize=True)
+    lcm_all = lcm_many(modulus(family, a, t) for t in range(1, a))
+    assert ProfileCache(family).prime_set(a) == tuple(p for p, _ in factorize(lcm_all))
 
 
 def test_column_profile_values():
@@ -146,8 +162,14 @@ def test_column_profile_values():
 def test_profile_cache_consistent_and_idempotent(family):
     cache = ProfileCache(family)
     for a in (1, 2, 9, 40):
-        assert cache.minimal_moduli(a) == column_profile(family, a).minimal_moduli
-        assert cache.prime_set(a) == column_profile(family, a).lcm_prime_set
+        # Expectations come from the full modulus list alone: the minimal set
+        # is its divisibility-minimal elements, and since d_t = m_{a,t} the
+        # lcm prime set is the prime support of lcm(m_{a,t}).
+        mods = {m for _, m in column_profile(family, a).moduli}
+        minimal = tuple(sorted(m for m in mods if not any(m != k and m % k == 0 for k in mods)))
+        primes = tuple(sorted({p for m in mods for p, _ in factorize(m)}))
+        assert cache.minimal_moduli(a) == minimal
+        assert cache.prime_set(a) == primes
         assert cache.minimal_moduli(a) is cache.minimal_moduli(a)
         assert cache.prime_set(a) is cache.prime_set(a)
         assert cache.value(a) == family.eval(a)
