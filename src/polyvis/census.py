@@ -143,25 +143,18 @@ def exact_count_ie(
     return total
 
 
-_RHO_VECTOR_MIN = 1024
-
-
 def rho(family: PolyFamily, p: int) -> int:
-    """Number of residues x mod p with P(x) = 0 mod p, by direct enumeration."""
+    """Number of residues x mod p with P(x) = 0 mod p, by Horner over all residues at once.
+
+    Coefficients are reduced mod p first, so every intermediate value stays
+    below p^2 + p and the int64 arithmetic is exact for p up to 3e9.
+    """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    if p < _RHO_VECTOR_MIN:
-        return sum(1 for x in range(p) if family.eval(x) % p == 0)
-    return _rho_vector(family, p)
-
-
-def _rho_vector(family: PolyFamily, p: int) -> int:
-    # Horner over all residues at once; values stay < p^2 + max coeff, well
-    # inside int64 for any p this code bothers vectorizing.
     xs = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(family.coeffs):
-        acc = (acc * xs + c) % p
+        acc = (acc * xs + c % p) % p
     acc = acc * xs % p
     return int(np.count_nonzero(acc == 0))
 

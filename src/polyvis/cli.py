@@ -12,8 +12,10 @@
 Each run prints a single JSON envelope {command, family?, payload,
 elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 0 success, 1 reproduction failure, 2 bad input, 3 resource cap exceeded.
-The environment variable LATTICE_SCOPE_CAP, a positive integer, overrides
-the built-in N and region caps.
+Caps: N <= 10000 (density, count); regions <= 2000 per side (blocks,
+classify, and radius, which counts its region grown by r); coordinates of
+--point <= 100000 (visible, construct). The environment variable
+LATTICE_SCOPE_CAP, a positive integer, overrides all of them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .polyfam import LatticePoint, PolyFamily, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 _COUNT_MODES = {"oracle": None, "subsets": census.SUBSET_MODE, "pruned": census.PRUNED_MODE}
+DEFAULT_COORD_CAP = 100_000
 
 
 def _scope_cap() -> int | None:
@@ -63,7 +66,12 @@ def _parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
 
 
 def _parse_point(text: str) -> LatticePoint:
-    return LatticePoint(*_parse_ints(text, "point must be 'a,b'", 2))
+    """--point, with both coordinates within the coordinate cap."""
+    pt = LatticePoint(*_parse_ints(text, "point must be 'a,b'", 2))
+    limit = _scope_cap() or DEFAULT_COORD_CAP
+    if max(pt.a, pt.b) > limit:
+        raise ResourceLimitError(f"point {pt.a},{pt.b} exceeds the coordinate cap {limit}")
+    return pt
 
 
 def _parse_region(text: str) -> geometry.Region:

@@ -1,9 +1,11 @@
 """Region classification, invisible-block mining, and nearest-visible search.
 
 The block search answers "where does the first n-by-n all-invisible block
-sit" for a family; the radius search walks breadth-first through the
-right/up/diagonal neighbor graph until it meets a visible point. Scan
-order is frozen everywhere: x ascending outer, y ascending inner.
+sit" for a family. The radius of (x, y) is the smallest k for which the
+square [x, x+k] x [y, y+k] holds a visible point, so a point of radius
+r >= 1 is the corner of an all-invisible r-by-r block and the radius
+search takes its candidates from the block scanner. Scan order is frozen
+everywhere: x ascending outer, y ascending inner.
 """
 
 from __future__ import annotations
@@ -129,9 +131,8 @@ def scan_block_range(
 ) -> BlockHit | None:
     """First all-invisible size x size block with corner x in [x_lo, x_hi].
 
-    Exposed so a driver can split the x range among workers and keep the
-    scan-order-first answer by taking the minimum (x, y) over the partial
-    results; running it over the full corner range is exactly find_block.
+    Running it over the full corner range is exactly find_block; over split
+    ranges, the minimum (x, y) of the partial results is the same answer.
     """
     return next(_iter_blocks(cache or ProfileCache(family), size, region, x_lo, x_hi), None)
 
@@ -162,46 +163,42 @@ def radius_to_visible(
     max_layers: int = DEFAULT_MAX_LAYERS,
     cache: ProfileCache | None = None,
 ) -> RadiusResult:
-    """Breadth-first layers of {right, up, diagonal} moves until a visible point.
+    """Chebyshev distance from origin to the nearest visible point above and to the right.
 
-    distance 0 means the origin itself is visible; -1 means no visible
-    point within max_layers layers. Layer counting and the visited-set
-    discipline follow the search routine this models: distance bumps once
-    per frontier, not per edge.
+    Ring k is the part of [x, x+k] x [y, y+k] outside [x, x+k-1] x
+    [y, y+k-1]: column x+k and row y+k. distance is the first k whose ring
+    holds a visible point; 0 means the origin itself is visible, -1 that
+    no ring up to max_layers does.
     """
     cache = cache or ProfileCache(family)
-    distance = 0
-    visited: set[tuple[int, int]] = set()
-    queue: list[tuple[int, int]] = [(origin.a, origin.b)]
-    while queue and distance <= max_layers:
-        next_queue: list[tuple[int, int]] = []
-        for xy in queue:
-            if xy in visited:
-                continue
-            visited.add(xy)
-            x, y = xy
-            if cache.is_visible(x, y):
-                return RadiusResult(origin, distance)
-            next_queue.extend(((x + 1, y), (x, y + 1), (x + 1, y + 1)))
-        queue = next_queue
-        distance += 1
+    x, y = origin.a, origin.b
+    for k in range(max_layers + 1):
+        ring = [(x + k, y + j) for j in range(k + 1)] + [(x + i, y + k) for i in range(k)]
+        if any(cache.is_visible(a, b) for a, b in ring):
+            return RadiusResult(origin, k)
     return RadiusResult(origin, -1)
 
 
 def find_point_with_radius(
     family: PolyFamily, region: Region, r: int, cap: int | None = None
 ) -> LatticePoint | None:
-    """First point in scan order whose radius_to_visible is exactly r."""
+    """First point in scan order whose radius_to_visible is exactly r.
+
+    For r >= 1 the candidates are the corners of all-invisible r x r blocks.
+    The search reads points up to r beyond the region, so the region grown
+    by r must fit the cap.
+    """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    _check_cap(region, cap)
+    _check_cap(Region(region.min_x, region.max_x + r, region.min_y, region.max_y + r), cap)
     cache = ProfileCache(family)
-    for i in range(region.min_x, region.max_x + 1):
-        for j in range(region.min_y, region.max_y + 1):
-            got = radius_to_visible(family, LatticePoint(i, j), max_layers=r, cache=cache)
-            if got.distance == r:
-                return LatticePoint(i, j)
-    return None
+    if r == 0:
+        xs, ys = range(region.min_x, region.max_x + 1), range(region.min_y, region.max_y + 1)
+        candidates = (LatticePoint(i, j) for i in xs for j in ys)
+    else:
+        reach = Region(region.min_x, region.max_x + r - 1, region.min_y, region.max_y + r - 1)
+        candidates = (hit.corner for hit in _iter_blocks(cache, r, reach, region.min_x, region.max_x))
+    return next((p for p in candidates if radius_to_visible(family, p, r, cache).distance == r), None)
 
 
 # The 2x2 invisible-block survey bundled for the `reproduce` command: one row

@@ -134,16 +134,15 @@ class ProfileCache:
     column_profile, lcm_criterion and every sieve read their columns here.
 
     Grid scans and censuses touch every column many times; the cache keeps
-    evaluated P-values, minimal modulus sets, and lcm prime sets keyed by
-    column index. Filling is idempotent, so repeated lookups return the
-    same tuples.
+    evaluated P-values and minimal modulus sets keyed by column index, so
+    repeated lookups return the same tuples. Lcm prime sets are not kept:
+    every caller asks for each column once.
     """
 
     def __init__(self, family: PolyFamily):
         self.family = family
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
-        self._primes: dict[int, tuple[int, ...]] = {}
 
     def value(self, x: int) -> int:
         got = self._values.get(x)
@@ -166,16 +165,13 @@ class ProfileCache:
         so the lcm itself never has to be materialized. Whether p^e divides
         P(t) depends only on t mod p^e, so t <= p^e covers every t < a.
         """
-        got = self._primes.get(a)
-        if got is None:
-            primes = []
-            for p, e in factorize(self.value(a)):
-                for t in range(1, min(a, p**e + 1)):
-                    if valuation(p, self.value(t)) < e:
-                        primes.append(p)
-                        break
-            got = self._primes[a] = tuple(primes)
-        return got
+        primes = []
+        for p, e in factorize(self.value(a)):
+            for t in range(1, min(a, p**e + 1)):
+                if valuation(p, self.value(t)) < e:
+                    primes.append(p)
+                    break
+        return tuple(primes)
 
     def is_visible(self, a: int, b: int) -> bool:
         """Same verdict as module-level is_visible, via the minimal modulus set."""

@@ -17,6 +17,7 @@ from polyvis import (
     parse_family,
     rho,
 )
+from polyvis.arith import primes_up_to
 
 X = parse_family("1")
 XSQ = parse_family("1,0")
@@ -124,17 +125,23 @@ def test_rho_values():
 
 
 def test_rho_bounds(family):
-    from polyvis.arith import primes_up_to
-
     for p in primes_up_to(100):
         r = rho(family, p)
         assert 1 <= r <= family.degree  # x = 0 is always a root
 
 
 def test_rho_vector_path_matches_loop(family):
-    for p in (1031, 1033, 2003):
+    for p in (*primes_up_to(200), 1031, 1033, 2003):
         direct = sum(1 for x in range(p) if family.eval(x) % p == 0)
         assert rho(family, p) == direct
+
+
+@pytest.mark.parametrize("spec", ["10000000000000000000,1", f"{2**65},3,1"])
+def test_rho_big_coefficients_match_enumeration(spec):
+    """Coefficients past int64 are reduced mod p before the vector Horner."""
+    family = parse_family(spec)
+    for p in (*primes_up_to(300), 1031):
+        assert rho(family, p) == sum(1 for x in range(p) if family.eval(x) % p == 0)
 
 
 def test_constant_cp():

@@ -181,6 +181,11 @@ def test_radius(capsys):
     assert env["payload"]["found"] is False
     assert "point" not in env["payload"]
 
+    # The region grown by r counts toward the cap: [2,10] grown by 1992 is 2001 wide.
+    code, env, err = run_cli(capsys, "radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1992")
+    assert code == 3 and env is None
+    assert err == "error: region 2001x2001 exceeds the 2000x2000 cap\n"
+
 
 def test_reproduce_illustration(capsys):
     code, env, _ = run_cli(capsys, "reproduce", "--target", "illustration")
@@ -220,8 +225,42 @@ def test_exit_code_resource_cap(capsys, monkeypatch):
     assert code == 3 and env is None and "error:" in err
     code, env, err = run_cli(capsys, "blocks", "--poly", "1", "--size", "2", "--max", "200,200")
     assert code == 3
+    code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", "1,99,1,99", "--r", "1")
+    assert code == 0 and env["payload"]["point"] == {"x": 2, "y": 2}
+    code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", "1,99,1,99", "--r", "2")
+    assert code == 3
+    code, env, _ = run_cli(capsys, "construct", "--point", "100,7")
+    assert code == 0 and env["payload"]["verified"] is True
+    code, env, err = run_cli(capsys, "construct", "--point", "101,7")
+    assert code == 3 and err == "error: point 101,7 exceeds the coordinate cap 100\n"
     code, env, _ = run_cli(capsys, "density", "--poly", "1", "--n", "100")
     assert code == 0 and env["payload"]["visible_count"] == 6087
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("visible", "--poly", "1", "--point", "100000,99999"), 0),
+        (("visible", "--poly", "1", "--point", "100001,5"), 3),
+        (("visible", "--poly", "1", "--point", "5,100001"), 3),
+        (("construct", "--point", "100001,3"), 3),
+        (("construct", "--point", "3,100001", "--multi", "100003,100019"), 3),
+    ],
+)
+def test_coordinate_cap(capsys, argv, code):
+    got, env, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 3:
+        assert env is None
+        assert err.startswith("error: point ") and err.endswith(" exceeds the coordinate cap 100000\n")
+
+
+def test_density_with_coefficient_past_int64(capsys):
+    code, env, err = run_cli(
+        capsys, "density", "--poly", "10000000000000000000,1", "--n", "5", "--prime-bound", "2000"
+    )
+    assert code == 0 and err == ""
+    assert env["payload"]["visible_count"] == 25
 
 
 def test_bad_scope_cap_env(capsys, monkeypatch):

@@ -128,11 +128,16 @@ def test_scan_block_range_partition_matches_full():
 
 
 @st.composite
-def block_cases(draw):
+def families(draw):
     # Low degrees half the time: blocks larger than 1x1 are rare at high degree.
     lead = draw(st.integers(1, 3))
     rest = draw(st.lists(st.integers(0, 3), max_size=draw(st.sampled_from((2, DEGREE_CAP - 1)))))
-    family = parse_family(",".join(map(str, [lead, *rest])), normalize=True)
+    return parse_family(",".join(map(str, [lead, *rest])), normalize=True)
+
+
+@st.composite
+def block_cases(draw):
+    family = draw(families())
     min_x, min_y = draw(st.integers(1, 40)), draw(st.integers(1, 200))
     region = Region(min_x, min_x + draw(st.integers(0, 39)), min_y, min_y + draw(st.integers(0, 99)))
     cut1 = draw(st.integers(region.min_x - 1, region.max_x))
@@ -210,24 +215,68 @@ def test_radius_examples():
     assert radius_to_visible(X, LatticePoint(2, 2), max_layers=0).distance == -1
 
 
+def bfs_radius(cache: ProfileCache, origin: LatticePoint, max_layers: int) -> int:
+    """Breadth-first layers of {right, up, diagonal} moves until a visible point.
+
+    The oracle for radius_to_visible: distance bumps once per frontier, and
+    -1 means no visible point within max_layers layers.
+    """
+    distance = 0
+    visited: set[tuple[int, int]] = set()
+    queue = [(origin.a, origin.b)]
+    while queue and distance <= max_layers:
+        next_queue = []
+        for xy in queue:
+            if xy in visited:
+                continue
+            visited.add(xy)
+            x, y = xy
+            if cache.is_visible(x, y):
+                return distance
+            next_queue.extend(((x + 1, y), (x, y + 1), (x + 1, y + 1)))
+        queue = next_queue
+        distance += 1
+    return -1
+
+
 def test_radius_is_chebyshev_distance_to_visible(family):
-    """BFS over right/up/diagonal moves finds min max(dx, dy) to a visible point."""
+    """The ring scan finds the BFS distance over right/up/diagonal moves."""
     cache = ProfileCache(family)
-
-    def oracle(x0: int, y0: int, limit: int) -> int:
-        for k in range(limit + 1):
-            ring = {(i, k) for i in range(k + 1)} | {(k, j) for j in range(k + 1)}
-            if any(cache.is_visible(x0 + i, y0 + j) for i, j in sorted(ring)):
-                return k
-        return -1
-
     rng = random.Random(555)
     for _ in range(120):
         x0, y0 = rng.randrange(1, 41), rng.randrange(1, 41)
         limit = rng.randrange(0, 7)
         got = radius_to_visible(family, LatticePoint(x0, y0), max_layers=limit, cache=cache)
-        assert got.distance == oracle(x0, y0, limit)
+        assert got.distance == bfs_radius(cache, LatticePoint(x0, y0), limit)
         assert got.origin == LatticePoint(x0, y0)
+
+
+@st.composite
+def radius_cases(draw):
+    # x and x^2 + x half the time: they have radius-2 points in the drawn
+    # ranges, at (14, 20) and (13, 195), where random families rarely do.
+    family = draw(st.one_of(st.sampled_from((X, XSQ_X)), families()))
+    min_x, min_y = draw(st.integers(1, 200)), draw(st.integers(1, 400))
+    region = Region(min_x, min_x + draw(st.integers(0, 29)), min_y, min_y + draw(st.integers(0, 29)))
+    return family, region, draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius_cases())
+def test_find_point_with_radius_is_first_point_of_radius_r(case):
+    """Block-corner candidates find the same point as a scan of every point."""
+    family, region, r = case
+    cache = ProfileCache(family)
+    expected = next(
+        (
+            LatticePoint(i, j)
+            for i in range(region.min_x, region.max_x + 1)
+            for j in range(region.min_y, region.max_y + 1)
+            if radius_to_visible(family, LatticePoint(i, j), r, cache).distance == r
+        ),
+        None,
+    )
+    assert find_point_with_radius(family, region, r) == expected
 
 
 def test_find_point_with_radius():
@@ -245,6 +294,14 @@ def test_caps():
         find_block(X, 2, square(11), cap=10)
     with pytest.raises(ResourceLimitError):
         find_point_with_radius(X, square(11), 1, cap=10)
+    # The radius search reads points up to r beyond the region, so the
+    # region grown by r must fit the cap.
+    assert find_point_with_radius(X, square(10), 0, cap=10) == LatticePoint(1, 1)
+    assert find_point_with_radius(X, square(9), 1, cap=10) == LatticePoint(2, 2)
+    with pytest.raises(ResourceLimitError):
+        find_point_with_radius(X, square(10), 1, cap=10)
+    with pytest.raises(ResourceLimitError):
+        find_point_with_radius(X, Region(2, 10, 2, 10), 1992)
     with pytest.raises(ValueError):
         find_block(X, 0, square(5))
     with pytest.raises(ValueError):

@@ -171,7 +171,6 @@ def test_profile_cache_consistent_and_idempotent(family):
         assert cache.minimal_moduli(a) == minimal
         assert cache.prime_set(a) == primes
         assert cache.minimal_moduli(a) is cache.minimal_moduli(a)
-        assert cache.prime_set(a) is cache.prime_set(a)
         assert cache.value(a) == family.eval(a)
     rng = random.Random(99)
     for _ in range(200):
