@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: primality, factorization, p-adic valuations, digits.
+"""Exact integer arithmetic: primality, factorization, p-adic valuations,
+roots of polynomials over F_p, digits.
 
 Everything here works on plain Python ints (arbitrary precision) and
 `fractions.Fraction`, so results are exact. Factorization is deterministic
@@ -9,6 +10,7 @@ Brent-cycle Pollard rho seeded from the number being split.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -193,6 +195,86 @@ def _int_valuation(p: int, n: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def count_roots_mod_p(coeffs, p: int) -> int:
+    """Number of distinct roots in F_p of sum coeffs[i] * x**i, for a prime p.
+
+    Every element of F_p is a simple root of x^p - x, so the count is
+    deg gcd(Q, x^p - x) with Q the polynomial reduced mod p (Cohen, GTM 138,
+    polynomials over finite fields). Q mod p must not be zero.
+
+    x^p mod Q comes from square-and-multiply on polynomials packed into one
+    int, w bits per coefficient (Kronecker substitution), so a square is one
+    bigint product. A coefficient never exceeds 2d(p-1)^2 < 2^w before it
+    is reduced: the square contributes at most d products of residues, and
+    the reduction adds one more per folded-in power x^k, k = d..2d-1.
+    """
+    q = [c % p for c in coeffs]
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        raise ValueError(f"polynomial is zero mod {p}")
+    d = len(q) - 1
+    if d <= 1:
+        return d
+    inv = pow(q[-1], -1, p)
+    q = [c * inv % p for c in q]
+
+    w = 2 * p.bit_length() + (2 * d).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, d * w, w)
+
+    def pack(cs):
+        v = 0
+        for c in reversed(cs):
+            v = (v << w) | c
+        return v
+
+    def unpack(v):
+        """The d lowest coefficients of v, reduced mod p."""
+        return [(v >> s & mask) % p for s in shifts]
+
+    # fold[k - d] = x^k mod Q, packed, for the powers a square times x reaches
+    fold = []
+    r = [-c % p for c in q[:d]]  # x^d = -(q_0 + ... + q_{d-1} x^{d-1})
+    for _ in range(d):
+        fold.append(pack(r))
+        top = r[-1]
+        r = [0, *r[:-1]]
+        r = [(ri - top * qi) % p for ri, qi in zip(r, q)]
+    low = (1 << (d * w)) - 1
+
+    def reduce(v):
+        return pack(unpack(sum(map(operator.mul, unpack(v >> (d * w)), fold), v & low)))
+
+    acc = 1 << w  # x
+    for bit in bin(p)[3:]:
+        acc *= acc
+        if bit == "1":
+            acc <<= w
+        acc = reduce(acc)
+    h = unpack(acc)
+    h[1] = (h[1] - 1) % p
+    return _gcd_degree_mod_p(q, h, p)
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """deg gcd(a, b) over F_p; little-endian coefficient lists, a nonzero, both consumed."""
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % p
+            if c:
+                a[i - db : i + 1] = [(x - c * y) % p for x, y in zip(a[i - db : i + 1], b)]
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def base_digits(n: int, base: int) -> list[int]:

@@ -4,6 +4,10 @@ Counts are exact integers; densities are formed by one float division at
 the end. The workhorse is a per-column sieve: column a is invisible exactly
 at multiples of its minimal moduli, so one strided fill per modulus
 (`multiples_mask`) gives the whole [1,N]^2 census in O(N^2 / m) writes.
+
+The density constants are Euler products over primes p <= B of
+(1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p
+(`arith.count_roots_mod_p`) rather than enumerating the p residues.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import factorize, primes_up_to
+from .arith import count_roots_mod_p, factorize, primes_up_to
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
 from .visibility import ProfileCache, is_visible_direct, modulus, multiples_mask
 
 DEFAULT_N_CAP = 10_000
+PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
 SUBSET_MODE = "subset-enumeration"
 PRUNED_MODE = "pruned-lcm"
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
@@ -46,6 +51,14 @@ def _check_n(n: int, cap: int | None) -> None:
     limit = DEFAULT_N_CAP if cap is None else cap
     if n > limit:
         raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
+
+
+def check_prime_bound(prime_bound: int) -> None:
+    """Raise unless 2 <= prime_bound <= PRIME_BOUND_CAP, before any sieve is allocated."""
+    if prime_bound < 2:
+        raise ValueError(f"prime_bound must be >= 2, got {prime_bound}")
+    if prime_bound > PRIME_BOUND_CAP:
+        raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
 def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tuple[int, int, float]]:
@@ -144,28 +157,26 @@ def exact_count_ie(
 
 
 def rho(family: PolyFamily, p: int) -> int:
-    """Number of residues x mod p with P(x) = 0 mod p, by Horner over all residues at once.
+    """rho_P(p): the number of residues x mod p with P(x) = 0 mod p, for a prime p.
 
-    Coefficients are reduced mod p first, so every intermediate value stays
-    below p^2 + p and the int64 arithmetic is exact for p up to 3e9.
+    P = x * Q, so the roots are x = 0 and the roots of Q, where Q's
+    coefficients are family.coeffs. The count is
+    count_roots_mod_p(Q) + [Q(0) != 0 mod p]: about log2(p) squarings of a
+    polynomial of degree < deg(P) instead of p evaluations of P.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(family.coeffs):
-        acc = (acc * xs + c % p) % p
-    acc = acc * xs % p
-    return int(np.count_nonzero(acc == 0))
+    return count_roots_mod_p(family.coeffs, p) + (family.coeffs[0] % p != 0)
 
 
 def constant_cp(family: PolyFamily, prime_bound: int) -> ConstantResult:
     """Truncation of prod_p (1 - rho_P(p)/p^2) at primes <= prime_bound.
 
+    One `rho` per prime, each by root counting over F_p. prime_bound may
+    not exceed PRIME_BOUND_CAP.
     Tail: |log shift from primes > B| <= deg(P) * sum_{m>B} 1/m^2 <= deg/(B-1).
     """
-    if prime_bound < 2:
-        raise ValueError(f"prime_bound must be >= 2, got {prime_bound}")
+    check_prime_bound(prime_bound)
     value = 1.0
     for p in primes_up_to(prime_bound):
         value *= 1.0 - rho(family, p) / (p * p)

@@ -15,7 +15,9 @@ elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 Caps: N <= 10000 (density, count); regions <= 2000 per side (blocks,
 classify, and radius, which counts its region grown by r); coordinates of
 --point <= 100000 (visible, construct). The environment variable
-LATTICE_SCOPE_CAP, a positive integer, overrides all of them.
+LATTICE_SCOPE_CAP, a positive integer, overrides all of them. The density
+--prime-bound has its own fixed cap of 1000000, which LATTICE_SCOPE_CAP
+does not change.
 """
 
 from __future__ import annotations
@@ -104,6 +106,7 @@ def cmd_visible(args):
 def cmd_density(args):
     fam = _family(args)
     cap = _scope_cap()
+    census.check_prime_bound(args.prime_bound)
     rows = census.density_rows(fam, args.n, cap=cap)
     coprime = census.coprimality_count(fam, args.n, cap=cap)
     constant = census.constant_cp(fam, args.prime_bound)

@@ -123,8 +123,15 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
     whenever gcd(P(a), b) = 1: gcd certificate => lcm certificate =>
     visible. The converse of the first step fails, e.g. x^2 + x at (1, 2),
     where L_P(1) = 1 but gcd(P(1), 2) = 2.
+
+    Only primes of gcd(P(a), b) can divide both b and L_P(a), so that gcd
+    is factorized instead of P(a), which can be far larger.
     """
-    return all(point.b % p != 0 for p in ProfileCache(family).prime_set(point.a))
+    cache = ProfileCache(family)
+    pa = cache.value(point.a)
+    return not any(
+        cache.divides_lcm(point.a, p, valuation(p, pa)) for p, _ in factorize(gcd(pa, point.b))
+    )
 
 
 class ProfileCache:
@@ -159,19 +166,17 @@ class ProfileCache:
         return got
 
     def prime_set(self, a: int) -> tuple[int, ...]:
-        """Primes dividing L_P(a) = lcm of d_t = P(a)/gcd over t < a.
+        """Primes dividing L_P(a) = lcm of d_t = P(a)/gcd over t < a."""
+        return tuple(p for p, e in factorize(self.value(a)) if self.divides_lcm(a, p, e))
 
-        p divides some d_t exactly when v_p(P(t)) < v_p(P(a)) = e for some t,
-        so the lcm itself never has to be materialized. Whether p^e divides
-        P(t) depends only on t mod p^e, so t <= p^e covers every t < a.
+    def divides_lcm(self, a: int, p: int, e: int) -> bool:
+        """Whether the prime p, with p^e exactly dividing P(a), divides L_P(a).
+
+        p divides some d_t exactly when v_p(P(t)) < e for some t < a, so the
+        lcm itself never has to be materialized. Whether p^e divides P(t)
+        depends only on t mod p^e, so t <= p^e covers every t < a.
         """
-        primes = []
-        for p, e in factorize(self.value(a)):
-            for t in range(1, min(a, p**e + 1)):
-                if valuation(p, self.value(t)) < e:
-                    primes.append(p)
-                    break
-        return tuple(primes)
+        return any(valuation(p, self.value(t)) < e for t in range(1, min(a, p**e + 1)))
 
     def is_visible(self, a: int, b: int) -> bool:
         """Same verdict as module-level is_visible, via the minimal modulus set."""

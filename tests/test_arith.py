@@ -13,6 +13,7 @@ from polyvis import (
     primes_up_to,
     valuation,
 )
+from polyvis.arith import count_roots_mod_p
 
 
 def _trial_division_is_prime(n):
@@ -160,3 +161,31 @@ def test_lcm_many():
         for x in xs:
             expect = expect * x // math.gcd(expect, x)
         assert lcm_many(xs) == expect
+
+
+def _times_linear(poly, r):
+    """poly * (x - r), little-endian integer coefficients."""
+    return [a - r * b for a, b in zip([0, *poly], [*poly, 0])]
+
+
+def test_count_roots_mod_p_counts_distinct_roots():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 101, 2**31 - 1, 2**61 - 1):
+        for _ in range(25):
+            roots = [rng.randrange(p) for _ in range(rng.randrange(0, 8))]
+            poly = [rng.randrange(1, p)]  # a random nonzero leading coefficient
+            for r in roots:
+                poly = _times_linear(poly, r)
+            assert count_roots_mod_p(poly, p) == len(set(roots))
+            if p % 4 == 3:  # x^2 + 1 has no roots mod p, so multiplying by it changes nothing
+                poly = [a + c for a, c in zip([0, 0, *poly], [*poly, 0, 0])]
+                assert count_roots_mod_p(poly, p) == len(set(roots))
+
+
+def test_count_roots_mod_p_degree_drops_and_errors():
+    assert count_roots_mod_p([5, 7], 7) == 0  # 5 + 7x is the nonzero constant 5 mod 7
+    assert count_roots_mod_p([1, 3, 14], 7) == 1  # 1 + 3x, root x = 2
+    assert count_roots_mod_p([1, 0, 1], 7) == 0
+    assert count_roots_mod_p([1, 0, 1], 5) == 2
+    with pytest.raises(ValueError):
+        count_roots_mod_p([7, 14], 7)

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyvis import (
+    DEGREE_CAP,
     PRUNED_MODE,
     SUBSET_MODE,
+    PolyFamily,
     ResourceLimitError,
     brute_count,
     constant_cp,
@@ -14,6 +18,7 @@ from polyvis import (
     density_rows,
     empirical_density,
     exact_count_ie,
+    next_prime_above,
     parse_family,
     rho,
 )
@@ -130,18 +135,60 @@ def test_rho_bounds(family):
         assert 1 <= r <= family.degree  # x = 0 is always a root
 
 
+def _rho_by_enumeration(family, p):
+    return sum(1 for x in range(p) if family.eval(x) % p == 0)
+
+
 def test_rho_vector_path_matches_loop(family):
+    """rho agrees with the enumeration oracle. The name is from the numpy path
+    that rho once had; it now counts roots over F_p."""
     for p in (*primes_up_to(200), 1031, 1033, 2003):
-        direct = sum(1 for x in range(p) if family.eval(x) % p == 0)
-        assert rho(family, p) == direct
+        assert rho(family, p) == _rho_by_enumeration(family, p)
 
 
 @pytest.mark.parametrize("spec", ["10000000000000000000,1", f"{2**65},3,1"])
 def test_rho_big_coefficients_match_enumeration(spec):
-    """Coefficients past int64 are reduced mod p before the vector Horner."""
+    """Coefficients past int64 are reduced mod p before the roots are counted."""
     family = parse_family(spec)
     for p in (*primes_up_to(300), 1031):
-        assert rho(family, p) == sum(1 for x in range(p) if family.eval(x) % p == 0)
+        assert rho(family, p) == _rho_by_enumeration(family, p)
+
+
+_PRIMES_BELOW_3000 = primes_up_to(3000)
+
+
+@st.composite
+def _family_and_prime(draw):
+    """A family within DEGREE_CAP and a prime p < 3000, with coefficients past
+    2^64 and multiples of p (the leading one too) so that P mod p loses degree."""
+    p = draw(st.sampled_from(_PRIMES_BELOW_3000))
+    big = st.integers(2**64, 2**70)
+    coeff = st.one_of(st.integers(0, 3 * p), big, st.integers(0, 4).map(lambda k: k * p))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=DEGREE_CAP))
+    coeffs[-1] = draw(st.one_of(st.integers(1, 5), big, st.integers(1, 4).map(lambda k: k * p)))
+    assume(math.gcd(*coeffs) == 1)
+    return PolyFamily(tuple(coeffs)), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_and_prime())
+def test_rho_matches_enumeration_property(family_and_prime):
+    family, p = family_and_prime
+    assert rho(family, p) == _rho_by_enumeration(family, p)
+
+
+def test_rho_closed_forms_past_2_31():
+    """x(x^2+1) has the roots +-i when p = 1 mod 4; x(x^2+x+1) has the two
+    primitive cube roots of unity when p = 1 mod 3. Enumeration is out of reach."""
+    primes = [2**61 - 1, 2**89 - 1, 2**127 - 1, next_prime_above(10**40)]
+    p = 2**31
+    for _ in range(8):
+        p = next_prime_above(p)
+        primes.append(p)
+    assert {p % 4 for p in primes} == {1, 3} and {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        assert rho(parse_family("1,0,1"), p) == 1 + 2 * (p % 4 == 1)
+        assert rho(parse_family("1,1,1"), p) == 1 + 2 * (p % 3 == 1)
 
 
 def test_constant_cp():
@@ -152,16 +199,23 @@ def test_constant_cp():
     assert res.tail_bound == pytest.approx(1 / (10**5 - 1))
     with pytest.raises(ValueError):
         constant_cp(X, 1)
+    with pytest.raises(ResourceLimitError, match="prime bound 1000001 exceeds the cap 1000000"):
+        constant_cp(X, 10**6 + 1)
 
 
 def test_constant_cp_monotone_with_tail_control():
-    bounds = (10, 100, 1000, 10_000)
-    vals = [constant_cp(XSQ_X, b).value for b in bounds]
-    for lo, hi in zip(vals[1:], vals[:-1]):
-        assert lo <= hi
-    for b, v in zip(bounds, vals):
-        tail = constant_cp(XSQ_X, b).tail_bound
-        assert abs(math.log(v) - math.log(vals[-1])) <= tail
+    """For families of degree 1-4 with varying rho, the truncation falls as B
+    grows, and its stated tail bound deg/(B-1) covers the distance to the
+    product at B = 10^5."""
+    for spec in ("1", "1,1", "3,1", "3,0,2,1", "1,1,1,1"):
+        family = parse_family(spec)
+        reference = constant_cp(family, 10**5).value
+        results = [constant_cp(family, b) for b in (10, 100, 1000, 10_000)]
+        values = [r.value for r in results] + [reference]
+        assert values == sorted(values, reverse=True), spec
+        for res in results:
+            assert res.tail_bound == family.degree / (res.prime_bound - 1), spec
+            assert abs(math.log(res.value) - math.log(reference)) <= res.tail_bound, spec
 
 
 def test_constant_cp_x2_plus_x_equals_two_root_product():

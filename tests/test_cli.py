@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from polyvis import find_all_blocks, parse_family
+from polyvis import census, find_all_blocks, parse_family
 from polyvis.cli import main
 from polyvis.geometry import Region
 
@@ -253,6 +254,27 @@ def test_coordinate_cap(capsys, argv, code):
     if code == 3:
         assert env is None
         assert err.startswith("error: point ") and err.endswith(" exceeds the coordinate cap 100000\n")
+
+
+@pytest.mark.parametrize("scope_cap", [None, "100", "10000000000000"])
+@pytest.mark.parametrize("bound", ["1000001", "1000000000000"])
+def test_prime_bound_cap(capsys, monkeypatch, scope_cap, bound):
+    """A prime bound past 10^6 exits 3 before the census runs, whatever LATTICE_SCOPE_CAP says."""
+    if scope_cap is not None:
+        monkeypatch.setenv("LATTICE_SCOPE_CAP", scope_cap)
+    monkeypatch.setattr(census, "density_rows", lambda *a, **k: pytest.fail("the census ran first"))
+    code, env, err = run_cli(capsys, "density", "--poly", "1,1", "--n", "5", "--prime-bound", bound)
+    assert code == 3 and env is None
+    assert err == f"error: prime bound {bound} exceeds the cap 1000000\n"
+
+
+def test_prime_bound_at_cap_under_small_scope_cap(capsys, monkeypatch):
+    monkeypatch.setenv("LATTICE_SCOPE_CAP", "100")
+    code, env, _ = run_cli(capsys, "density", "--poly", "1", "--n", "5", "--prime-bound", "1000000")
+    assert code == 0
+    assert env["payload"]["c_p_constant"] == pytest.approx(6 / math.pi**2, abs=1e-6)
+    code, env, err = run_cli(capsys, "density", "--poly", "1", "--n", "5", "--prime-bound", "1")
+    assert code == 2 and err == "error: prime_bound must be >= 2, got 1\n"
 
 
 def test_density_with_coefficient_past_int64(capsys):

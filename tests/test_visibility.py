@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyvis import visibility
 from polyvis import (
     DEGREE_CAP,
     LatticePoint,
@@ -108,6 +109,23 @@ def test_certificate_chain(family):
         a, b = rng.randrange(1, 101), rng.randrange(1, 101)
         expected = all(b % p for p in cache.prime_set(a))
         assert lcm_criterion(family, LatticePoint(a, b)) == expected
+
+
+def test_lcm_criterion_factorizes_gcd_not_column_value(monkeypatch):
+    """Only primes of gcd(P(a), b) can divide both b and L_P(a), so P(a), 81
+    digits here, is never factorized."""
+    factorized = []
+
+    def spy(n):
+        factorized.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(visibility, "factorize", spy)
+    family = parse_family("3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1")
+    assert lcm_criterion(family, LatticePoint(100_000, 99_991))  # gcd(P(a), b) = 1
+    # v_2(P(100000)) = 5 but v_2(P(1)) = v_2(4) = 2, so 2 divides L_P(a)
+    assert not lcm_criterion(family, LatticePoint(100_000, 99_990))
+    assert factorized and max(factorized) <= 99_990
 
 
 def test_minimal_moduli_block_the_same_points(family):
