@@ -10,7 +10,6 @@ radii over regions.
 from .arith import (
     base_digits,
     factorize,
-    gcd,
     is_prime,
     lcm_many,
     next_prime_above,

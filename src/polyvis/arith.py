@@ -24,8 +24,6 @@ _MR_ROUNDS = 40  # randomized rounds above the deterministic bound
 _SMALL_PRIME_LIMIT = 10_000
 _WHEEL_LIMIT = 10**6  # trial division never goes past this
 
-gcd = math.gcd
-
 
 def lcm_many(values) -> int:
     """lcm of an iterable of positive ints; empty input gives 1."""

@@ -215,14 +215,15 @@ def constant_cpq_star(p: int, q: int, prime_bound: int) -> ConstantResult:
 
 
 def coprimality_count(family: PolyFamily, n: int, cap: int | None = None) -> int:
-    """Pairs in [1,N]^2 with b coprime to every prime under column a's lcm.
+    """Pairs in [1,N]^2 with b coprime to L_P(a), the lcm of column a's moduli.
 
-    A subset of the visible pairs: being coprime to the lcm's prime support
-    is sufficient for visibility, not necessary.
+    A subset of the visible pairs: the lcm certificate is sufficient for
+    visibility, not necessary. Primes above N mark no b <= N, so each column
+    sieves only the primes <= N of L_P(a) (`ProfileCache.prime_set`).
     """
     _check_n(n, cap)
     cache = ProfileCache(family)
     return sum(
-        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a), 1, n)))
+        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a, n), 1, n)))
         for a in range(1, n + 1)
     )

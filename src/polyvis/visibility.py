@@ -6,18 +6,20 @@ has b*P(t)/P(a) an integer; equivalently, none of the column moduli
     m_{a,t} = P(a) // gcd(P(a), P(t))
 
 divides b. Column a = 1 has no earlier columns, so every (1, b) is
-visible. Everything in this module is exact integer arithmetic.
+visible. Column a's moduli have lcm L_P(a) = P(a) / gcd(P(1), ..., P(a)).
+Everything in this module is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 
 import numpy as np
 
-from .arith import factorize, valuation
+from .arith import factorize, primes_up_to
 from .polyfam import LatticePoint, PolyFamily
 
 
@@ -87,14 +89,8 @@ def is_visible_direct(family: PolyFamily, point: LatticePoint) -> bool:
 
 
 def gcd_p(family: PolyFamily, point: LatticePoint) -> int:
-    """gcd(P(a), b). Value 1 is a sufficient (not necessary) visibility certificate.
-
-    It is the strict end of the chain gcd certificate => lcm certificate =>
-    visible: L_P(a) divides P(a), so gcd(P(a), b) = 1 leaves b coprime to
-    L_P(a) (see `lcm_criterion`). The converse fails: on x^2 + x the point
-    (1, 2) has gcd 2 yet passes the lcm test, since column 1 has no earlier
-    columns.
-    """
+    """gcd(P(a), b). Value 1 is a sufficient (not necessary) visibility certificate,
+    the strict end of the chain in `lcm_criterion`."""
     return gcd(family.eval(point.a), point.b)
 
 
@@ -124,20 +120,20 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
     visible. The converse of the first step fails, e.g. x^2 + x at (1, 2),
     where L_P(1) = 1 but gcd(P(1), 2) = 2.
 
-    Only primes of gcd(P(a), b) can divide both b and L_P(a), so that gcd
-    is factorized instead of P(a), which can be far larger.
+    L_P(a) comes from `ProfileCache.lcm`, so nothing is factorized.
     """
-    cache = ProfileCache(family)
-    pa = cache.value(point.a)
-    return not any(
-        cache.divides_lcm(point.a, p, valuation(p, pa)) for p, _ in factorize(gcd(pa, point.b))
-    )
+    return gcd(ProfileCache(family).lcm(point.a), point.b) == 1
+
+
+@lru_cache(maxsize=4)
+def _primorial(bound: int) -> int:
+    return prod(primes_up_to(bound))
 
 
 class ProfileCache:
     """Column data for one family, computed once per column and reused.
 
-    The one implementation of column moduli and lcm prime sets:
+    The one implementation of column moduli and of the lcm L_P(a):
     column_profile, lcm_criterion and every sieve read their columns here.
 
     Grid scans and censuses touch every column many times; the cache keeps
@@ -165,18 +161,23 @@ class ProfileCache:
             got = self._minimal[a] = _minimal_by_divisibility(mods)
         return got
 
-    def prime_set(self, a: int) -> tuple[int, ...]:
-        """Primes dividing L_P(a) = lcm of d_t = P(a)/gcd over t < a."""
-        return tuple(p for p, e in factorize(self.value(a)) if self.divides_lcm(a, p, e))
+    def lcm(self, a: int) -> int:
+        """L_P(a), the lcm of m_{a,t} over t < a: P(a) / gcd(P(1), ..., P(a)).
 
-    def divides_lcm(self, a: int, p: int, e: int) -> bool:
-        """Whether the prime p, with p^e exactly dividing P(a), divides L_P(a).
-
-        p divides some d_t exactly when v_p(P(t)) < e for some t < a, so the
-        lcm itself never has to be materialized. Whether p^e divides P(t)
-        depends only on t mod p^e, so t <= p^e covers every t < a.
+        Every gcd(P(a), P(t)) divides P(a), so the lcm of the quotients is P(a)
+        over their gcd. P(0), ..., P(deg) are deg + 1 consecutive values, whose
+        gcd is P's fixed divisor: past a = deg the prefix gcd is constant.
         """
-        return any(valuation(p, self.value(t)) < e for t in range(1, min(a, p**e + 1)))
+        return self.value(a) // gcd(*map(self.value, range(1, min(a, self.family.degree) + 1)))
+
+    def prime_set(self, a: int, bound: int | None = None) -> tuple[int, ...]:
+        """Primes dividing L_P(a), ascending; only those <= bound when bound is given.
+
+        With a bound only gcd(L_P(a), primorial(bound)) is factorized. It is
+        squarefree with every prime <= bound, so trial division splits it.
+        """
+        n = self.lcm(a) if bound is None else gcd(self.lcm(a), _primorial(bound))
+        return tuple(p for p, _ in factorize(n))
 
     def is_visible(self, a: int, b: int) -> bool:
         """Same verdict as module-level is_visible, via the minimal modulus set."""

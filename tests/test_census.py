@@ -18,10 +18,13 @@ from polyvis import (
     density_rows,
     empirical_density,
     exact_count_ie,
+    factorize,
+    modulus,
     next_prime_above,
     parse_family,
     rho,
 )
+from polyvis import visibility
 from polyvis.arith import primes_up_to
 
 X = parse_family("1")
@@ -118,6 +121,28 @@ def test_coprimality_values():
     assert coprimality_count(X, 1000) == 608383
     assert coprimality_count(XSQ_X, 500) == 121232
     assert empirical_density(XSQ_X, 500).visible_count == 235476
+
+
+def test_coprimality_count_degree_16_factors_only_n_smooth_parts(monkeypatch):
+    """At degree 16, P(a) has up to 41 digits at N = 300. The count must equal
+    the lcm certificate taken literally from modulus(), and every number
+    factorized must divide the primorial of N, never P(a) itself."""
+    family = parse_family("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3")
+    n = 300
+    expected = 0
+    for a in range(1, n + 1):
+        lcm_all = math.lcm(*(modulus(family, a, t) for t in range(1, a)))
+        expected += sum(math.gcd(lcm_all, b) == 1 for b in range(1, n + 1))
+    factorized = []
+
+    def spy(m):
+        factorized.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(visibility, "factorize", spy)
+    assert coprimality_count(family, n) == expected
+    primorial = math.prod(primes_up_to(n))
+    assert factorized and all(primorial % m == 0 for m in factorized)
 
 
 def test_rho_values():

@@ -111,9 +111,9 @@ def test_certificate_chain(family):
         assert lcm_criterion(family, LatticePoint(a, b)) == expected
 
 
-def test_lcm_criterion_factorizes_gcd_not_column_value(monkeypatch):
-    """Only primes of gcd(P(a), b) can divide both b and L_P(a), so P(a), 81
-    digits here, is never factorized."""
+def test_lcm_criterion_never_factorizes(monkeypatch):
+    """L_P(a) = P(a) / gcd(P(1), ..., P(deg)) needs no factorization, so
+    neither P(a), 81 digits here, nor anything else is factorized."""
     factorized = []
 
     def spy(n):
@@ -125,7 +125,7 @@ def test_lcm_criterion_factorizes_gcd_not_column_value(monkeypatch):
     assert lcm_criterion(family, LatticePoint(100_000, 99_991))  # gcd(P(a), b) = 1
     # v_2(P(100000)) = 5 but v_2(P(1)) = v_2(4) = 2, so 2 divides L_P(a)
     assert not lcm_criterion(family, LatticePoint(100_000, 99_990))
-    assert factorized and max(factorized) <= 99_990
+    assert factorized == []
 
 
 def test_minimal_moduli_block_the_same_points(family):
@@ -150,13 +150,22 @@ def test_prime_set_within_prime_support(family):
 @given(
     coeffs=st.lists(st.integers(0, 4), min_size=1, max_size=DEGREE_CAP),
     a=st.integers(1, 40),
+    bound=st.integers(0, 60),
+    b=st.integers(1, 10**6),
 )
-@example(coeffs=[3, 1, 0], a=6)  # v_2(P(t)) < 2 first at t = 3, past p = 2
-def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a):
-    """prime_set(a) lists exactly the primes of lcm(m_{a,t}), taken from modulus()."""
+@example(coeffs=[3, 1, 0], a=6, bound=2, b=2)  # prefix gcd 4, 4, 2: it drops at t = 3 = deg
+def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a, bound, b):
+    """ProfileCache.lcm(a) is lcm(m_{a,t}), taken from modulus(); prime_set(a)
+    lists its primes, prime_set(a, bound) those <= bound, and lcm_criterion
+    is coprimality with it."""
     family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])), normalize=True)
     lcm_all = lcm_many(modulus(family, a, t) for t in range(1, a))
-    assert ProfileCache(family).prime_set(a) == tuple(p for p, _ in factorize(lcm_all))
+    primes = tuple(p for p, _ in factorize(lcm_all))
+    cache = ProfileCache(family)
+    assert cache.lcm(a) == lcm_all
+    assert cache.prime_set(a) == primes
+    assert cache.prime_set(a, bound) == tuple(p for p in primes if p <= bound)
+    assert lcm_criterion(family, LatticePoint(a, b)) == (math.gcd(lcm_all, b) == 1)
 
 
 def test_column_profile_values():
