@@ -27,6 +27,7 @@ PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP 
 SUBSET_MODE = "subset-enumeration"
 PRUNED_MODE = "pruned-lcm"
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
+_ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ def empirical_density(family: PolyFamily, n: int, cap: int | None = None) -> Cen
 def brute_count(family: PolyFamily, n: int, cap: int | None = None) -> int:
     """Pointwise ground truth straight from the definition. Slow on purpose."""
     _check_n(n, cap)
+    if n > _ORACLE_N_CAP:
+        raise ResourceLimitError(f"the oracle count is O(N^3) work; N={n} exceeds {_ORACLE_N_CAP}")
     return sum(
         is_visible_direct(family, LatticePoint(a, b))
         for a in range(1, n + 1)
@@ -187,6 +190,7 @@ def constant_cpq(p: int, q: int, prime_bound: int) -> ConstantResult:
     """(1 - 1/p^2)(1 - 1/q^2) * prod_{5 <= r <= B} (1 - 2/r^2) for primes p, q."""
     if prime_bound < 5:
         raise ValueError(f"prime_bound must be >= 5, got {prime_bound}")
+    check_prime_bound(prime_bound)
     value = (1.0 - 1.0 / (p * p)) * (1.0 - 1.0 / (q * q))
     for r in primes_up_to(prime_bound):
         if r >= 5:
@@ -202,8 +206,7 @@ def constant_cpq_star(p: int, q: int, prime_bound: int) -> ConstantResult:
     """
     if gcd(p, q) != 1:
         raise ValueError(f"p={p} and q={q} must be coprime")
-    if prime_bound < 2:
-        raise ValueError(f"prime_bound must be >= 2, got {prime_bound}")
+    check_prime_bound(prime_bound)
     divisors = [r for r, _ in factorize(p * q)]
     value = 1.0
     for r in divisors:

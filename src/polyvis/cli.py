@@ -15,9 +15,11 @@ elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 Caps: N <= 10000 (density, count); regions <= 2000 per side (blocks,
 classify, and radius, which counts its region grown by r); coordinates of
 --point <= 100000 (visible, construct). The environment variable
-LATTICE_SCOPE_CAP, a positive integer, overrides all of them. The density
---prime-bound has its own fixed cap of 1000000, which LATTICE_SCOPE_CAP
-does not change.
+LATTICE_SCOPE_CAP, a positive integer, overrides all of them. Fixed caps
+that LATTICE_SCOPE_CAP does not change: density --prime-bound <= 1000000;
+count --mode oracle N <= 100 (subsets N <= 26); construct primes of at
+most 64 bits, and at most 4 of them for --multi. blocks --out without
+--all, and reproduce --target illustration with --rows, are bad input.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from fractions import Fraction
 
 from . import census, geometry
-from .construct import construct_multi_prime, construct_visible, valuation_profile
+from .construct import construct_multi_prime, construct_visible
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
@@ -82,12 +84,6 @@ def _parse_region(text: str) -> geometry.Region:
 
 def _family(args) -> PolyFamily:
     return parse_family(args.poly, normalize=True)
-
-
-def _construction_record(c) -> dict:
-    rec = c.to_record()
-    rec["valuation_profile"] = [list(p) for p in valuation_profile(c).points]
-    return rec
 
 
 def cmd_visible(args):
@@ -143,14 +139,9 @@ def cmd_construct(args):
     if args.multi:
         ells = _parse_ints(args.multi, "--multi must be a comma list of integers")
         got = construct_multi_prime(pt, ells)
-        payload = got.to_record()
-        payload["components"] = [
-            _construction_record(c) for c in got.components
-        ]
     else:
         got = construct_visible(pt, args.prime)
-        payload = _construction_record(got)
-    return None, payload, 0
+    return None, got.to_record(), 0
 
 
 def cmd_blocks(args):
@@ -158,10 +149,10 @@ def cmd_blocks(args):
     cap = _scope_cap()
     mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
     region = geometry.Region(1, mx, 1, my)
+    if args.all != bool(args.out):
+        raise ValueError("--all and --out go together: --all writes its block corners to --out")
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
-        if not args.out:
-            raise ValueError("--all needs --out to receive the block CSV")
         hits = geometry.find_all_blocks(fam, args.size, region, cap=cap)
         geometry.blocks_to_csv(hits, args.out)
         payload["found"] = bool(hits)
@@ -241,6 +232,8 @@ def _reproduce_survey(rows_filter):
 
 def cmd_reproduce(args):
     if args.target == "illustration":
+        if args.rows:
+            raise ValueError("--rows selects survey rows; it applies only to --target table1")
         items = _reproduce_illustration()
     else:
         rows_filter = None

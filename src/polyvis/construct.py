@@ -17,9 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .arith import base_digits, is_prime, next_prime_above, valuation
+from .errors import ResourceLimitError
 from .polyfam import LatticePoint, RationalPoly
+
+# Fixed caps that LATTICE_SCOPE_CAP leaves alone. A 64-bit ell keeps is_prime
+# in its deterministic Miller-Rabin range.
+ELL_BITS_CAP = 64
+MULTI_PRIME_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class Construction:
             "curve": [_frac_str(c) for c in self.curve.coeffs],
             "curve_text": str(self.curve),
             "verified": self.verified,
+            "valuation_profile": [list(p) for p in valuation_profile(self).points],
         }
 
 
@@ -88,25 +96,38 @@ def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _digit_curve(numer: int, base: int, ell: int) -> tuple[list[int], RationalPoly]:
-    """Coefficients numer*d_i/(ell*base) on x**i from the base-`base` digits of ell."""
-    digits = base_digits(ell, base)
-    coeffs = [Fraction(0)] + [Fraction(numer * d, ell * base) for d in digits]
-    return digits, RationalPoly(tuple(coeffs))
-
-
 def _check_ell(ell: int, bound: int) -> None:
+    if ell.bit_length() > ELL_BITS_CAP:
+        raise ResourceLimitError(f"ell has {ell.bit_length()} bits; the cap is {ELL_BITS_CAP}")
     if not is_prime(ell):
         raise ValueError(f"ell={ell} is not prime")
     if ell <= bound:
         raise ValueError(f"ell={ell} must exceed the largest coordinate {bound}")
 
 
-def _check_base(a: int) -> None:
+def _digit_curves(coords: tuple[int, ...], ell: int | None):
+    """(ell, digits, curves, verified) for coords = (a, c_2, ..., c_n): one
+    digit curve per coordinate after the first, checked to hit c at x = a
+    and to take no integer value at 0 < t < a."""
+    a = coords[0]
     if a < 2:
         raise ValueError(
             "base-a digits need a >= 2; note (1, b) is already visible on y = b*x"
         )
+    if ell is None:
+        ell = next_prime_above(max(coords))
+    else:
+        _check_ell(ell, max(coords))
+    digits = tuple(base_digits(ell, a))
+    curves = tuple(
+        RationalPoly((Fraction(0),) + tuple(Fraction(c * d, ell * a) for d in digits))
+        for c in coords[1:]
+    )
+    verified = all(
+        curve.eval(a) == c and all(curve.eval(t).denominator != 1 for t in range(1, a))
+        for curve, c in zip(curves, coords[1:])
+    )
+    return ell, digits, curves, verified
 
 
 def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:
@@ -116,17 +137,8 @@ def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:
     non-integrality of curve(t) at every interior integer is checked here,
     not trusted, and lands in `verified`.
     """
-    _check_base(pt.a)
-    bound = max(pt.a, pt.b)
-    if ell is None:
-        ell = next_prime_above(bound)
-    else:
-        _check_ell(ell, bound)
-    digits, curve = _digit_curve(pt.b, pt.a, ell)
-    verified = curve.eval(pt.a) == pt.b and all(
-        curve.eval(t).denominator != 1 for t in range(1, pt.a)
-    )
-    return Construction(pt, ell, tuple(digits), curve, verified)
+    ell, digits, (curve,), verified = _digit_curves((pt.a, pt.b), ell)
+    return Construction(pt, ell, digits, curve, verified)
 
 
 def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
@@ -135,26 +147,18 @@ def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
     The average still hits (a, b) exactly; each interior value should keep
     every ell in its reduced denominator. Both facts are checked per input;
     a violation of the denominator claim is recorded as a counterexample
-    list rather than raised.
+    list rather than raised. Each component checks its own ell.
     """
-    _check_base(pt.a)
     ells = tuple(ells)
     if not ells:
         raise ValueError("need at least one prime")
+    if len(ells) > MULTI_PRIME_CAP:
+        raise ResourceLimitError(f"{len(ells)} primes exceed the cap {MULTI_PRIME_CAP}")
     if len(set(ells)) != len(ells):
         raise ValueError(f"duplicate prime in {ells}")
-    bound = max(pt.a, pt.b)
-    for ell in ells:
-        _check_ell(ell, bound)
     components = tuple(construct_visible(pt, ell) for ell in ells)
-    r = len(components)
-    width = max(len(c.curve.coeffs) for c in components)
-    avg = [
-        sum((c.curve.coeffs[i] if i < len(c.curve.coeffs) else Fraction(0)) for c in components)
-        / r
-        for i in range(width)
-    ]
-    curve = RationalPoly(tuple(avg))
+    columns = zip_longest(*(c.curve.coeffs for c in components), fillvalue=Fraction(0))
+    curve = RationalPoly(tuple(sum(col) / len(components) for col in columns))
     verified = curve.eval(pt.a) == pt.b
     bad: list[int] = []
     for t in range(1, pt.a):
@@ -177,17 +181,7 @@ def construct_curve_bundle(coords, ell: int | None = None) -> CurveBundle:
         raise ValueError("need at least two coordinates")
     if any(c < 1 for c in coords):
         raise ValueError(f"coordinates must be >= 1, got {coords}")
-    _check_base(coords[0])
-    bound = max(coords)
-    if ell is None:
-        ell = next_prime_above(bound)
-    else:
-        _check_ell(ell, bound)
-    base = coords[0]
-    curves = tuple(_digit_curve(c, base, ell)[1] for c in coords[1:])
-    verified = all(curve.eval(base) == c for curve, c in zip(curves, coords[1:])) and all(
-        curve.eval(t).denominator != 1 for curve in curves for t in range(1, base)
-    )
+    ell, _, curves, verified = _digit_curves(coords, ell)
     return CurveBundle(coords, ell, curves, verified)
 
 

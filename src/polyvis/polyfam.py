@@ -40,13 +40,13 @@ class PolyFamily:
         if not self.coeffs:
             raise ValueError("family needs at least one coefficient")
         if any(c < 0 for c in self.coeffs):
-            raise ValueError(f"negative coefficient in {self.coeffs}")
+            raise ValueError(f"family {self.spec!r} has a negative coefficient")
         if self.coeffs[-1] <= 0:
-            raise ValueError("leading coefficient must be positive")
+            raise ValueError(f"family {self.spec!r} needs a positive leading coefficient")
         if math.gcd(*self.coeffs) != 1:
             raise ValueError(f"coefficient content must be 1, got {math.gcd(*self.coeffs)}")
         if len(self.coeffs) > DEGREE_CAP:
-            raise ValueError(f"degree {len(self.coeffs)} exceeds cap {DEGREE_CAP}")
+            raise ValueError(f"family degree {len(self.coeffs)} exceeds cap {DEGREE_CAP}")
 
     @property
     def degree(self) -> int:
@@ -80,6 +80,7 @@ def parse_family(text: str, normalize: bool = False) -> PolyFamily:
 
     With normalize=True a common factor is divided out instead of rejected
     (so "4,4" becomes x^2 + x); the default is to refuse content != 1.
+    PolyFamily makes every other check.
     """
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
@@ -88,14 +89,8 @@ def parse_family(text: str, normalize: bool = False) -> PolyFamily:
         desc = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"family spec {text!r} is not a comma list of integers") from None
-    if any(c < 0 for c in desc):
-        raise ValueError(f"family spec {text!r} has a negative coefficient")
-    if desc[0] == 0:
-        raise ValueError(f"family spec {text!r} has a zero leading coefficient")
-    if len(desc) > DEGREE_CAP:
-        raise ValueError(f"family degree {len(desc)} exceeds cap {DEGREE_CAP}")
     g = math.gcd(*desc)
-    if g != 1:
+    if g > 1:
         if not normalize:
             raise ValueError(f"family spec {text!r} has content {g}, expected 1")
         desc = [c // g for c in desc]

@@ -24,7 +24,7 @@ from polyvis import (
     parse_family,
     rho,
 )
-from polyvis import visibility
+from polyvis import census, visibility
 from polyvis.arith import primes_up_to
 
 X = parse_family("1")
@@ -272,6 +272,21 @@ def test_constant_cpq_star_keeps_divisor_factors_beyond_bound():
     for r in (2, 3, 5, 7):
         expect *= 1 - 2 / r**2
     assert res.value == pytest.approx(expect, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: constant_cpq(2, 3, 10**6 + 1),
+        lambda: constant_cpq_star(2, 3, 10**12),
+        lambda: brute_count(X, 101, cap=10**6),
+    ],
+)
+def test_fixed_caps_raise_before_any_work(monkeypatch, call):
+    monkeypatch.setattr(census, "primes_up_to", lambda *a: pytest.fail("a sieve was allocated"))
+    monkeypatch.setattr(census, "is_visible_direct", lambda *a: pytest.fail("the oracle ran"))
+    with pytest.raises(ResourceLimitError):
+        call()
 
 
 def test_range_checks():

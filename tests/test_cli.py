@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -126,6 +127,27 @@ def test_construct_prime_multi_conflict():
     assert exc.value.code == 2
 
 
+BIG_PRIME = 10**400 + 69  # the first prime above 10^400
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("construct", "--point", "5000,3", "--prime", str(BIG_PRIME)), "ell has 1329 bits; the cap is 64"),
+        (("construct", "--point", "5000,3", "--multi", "5003,5009,5011,5021,5023"), "5 primes exceed the cap 4"),
+        (("count", "--poly", "1", "--n", "101", "--mode", "oracle"), "the oracle count is O(N^3) work; N=101 exceeds 100"),
+    ],
+)
+def test_fixed_work_caps_exit_3_at_once(capsys, monkeypatch, argv, message):
+    """These caps are fixed: a larger LATTICE_SCOPE_CAP does not lift them."""
+    monkeypatch.setenv("LATTICE_SCOPE_CAP", "10000000")
+    start = time.perf_counter()
+    code, env, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and env is None
+    assert err == f"error: {message}\n"
+
+
 def test_blocks(capsys):
     code, env, _ = run_cli(
         capsys, "blocks", "--poly", "1,1", "--size", "2", "--max", "1000,1000"
@@ -161,6 +183,15 @@ def test_blocks_all_requires_out(capsys):
     assert "error:" in err
 
 
+def test_blocks_out_requires_all(capsys, tmp_path):
+    out = tmp_path / "blocks.csv"
+    code, env, err = run_cli(capsys, "blocks", "--poly", "1", "--size", "2",
+                             "--max", "30,30", "--out", str(out))
+    assert code == 2 and env is None
+    assert err == "error: --all and --out go together: --all writes its block corners to --out\n"
+    assert not out.exists()
+
+
 def test_classify(capsys, tmp_path):
     out = tmp_path / "grid.csv"
     code, env, _ = run_cli(
@@ -194,6 +225,12 @@ def test_reproduce_illustration(capsys):
     p = env["payload"]
     assert (p["passed"], p["total"]) == (3, 3)
     assert all(item["passed"] for item in p["items"])
+
+
+def test_reproduce_illustration_rejects_rows(capsys):
+    code, env, err = run_cli(capsys, "reproduce", "--target", "illustration", "--rows", "3")
+    assert code == 2 and env is None
+    assert err == "error: --rows selects survey rows; it applies only to --target table1\n"
 
 
 def test_reproduce_survey_rows_that_hold(capsys):

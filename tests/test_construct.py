@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyvis import (
     LatticePoint,
+    ResourceLimitError,
     construct_curve_bundle,
     construct_multi_prime,
     construct_visible,
@@ -44,6 +47,21 @@ def test_to_record():
     assert rec["curve"] == ["0/1", "3/10", "0/1", "3/10"]
     assert rec["curve_text"] == "3/10*x + 3/10*x^3"
     assert rec["verified"] is True
+    assert rec["valuation_profile"] == [[1, -1], [3, -1]]
+
+
+@given(st.integers(2, 300), st.integers(1, 300), st.booleans())
+def test_single_bundle_and_multi_share_one_digit_curve(a, b, next_one):
+    pt = LatticePoint(a, b)
+    ell = next_prime_above(max(a, b))
+    if next_one:
+        ell = next_prime_above(ell)
+    c = construct_visible(pt, ell)
+    bundle = construct_curve_bundle((a, b), ell)
+    assert (bundle.ell, bundle.curves, bundle.verified) == (c.ell, (c.curve,), c.verified)
+    assert c.verified
+    multi = construct_multi_prime(pt, [ell, next_prime_above(ell)])
+    assert multi.components == (c, construct_visible(pt, next_prime_above(ell)))
 
 
 def test_any_admissible_prime_works():
@@ -127,6 +145,21 @@ def test_multi_prime_errors():
         construct_multi_prime(LatticePoint(3, 5), [7, 7])
     with pytest.raises(ValueError, match="not prime"):
         construct_multi_prime(LatticePoint(3, 5), [7, 15])
+    with pytest.raises(ValueError, match="a >= 2"):
+        construct_multi_prime(LatticePoint(1, 5), [7, 11])
+    with pytest.raises(ValueError, match="exceed"):
+        construct_multi_prime(LatticePoint(3, 5), [7, 5])
+
+
+def test_prime_caps():
+    with pytest.raises(ResourceLimitError, match="5 primes exceed the cap 4"):
+        construct_multi_prime(LatticePoint(3, 5), [7, 11, 13, 17, 19])
+    with pytest.raises(ResourceLimitError, match="65 bits"):
+        construct_visible(LatticePoint(3, 5), 2**64 + 13)
+    with pytest.raises(ResourceLimitError, match="65 bits"):
+        construct_multi_prime(LatticePoint(3, 5), [7, 2**64 + 13])
+    assert construct_visible(LatticePoint(3, 5), 2**64 - 59).verified
+    assert construct_multi_prime(LatticePoint(3, 5), [7, 11, 13, 2**64 - 59]).verified
 
 
 def test_bundle_2_3_5():

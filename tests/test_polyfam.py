@@ -31,6 +31,9 @@ def test_parse_family_rejects_bad_specs():
         parse_family("1,,2")
     with pytest.raises(ValueError, match="cap"):
         parse_family(",".join(["1"] * (DEGREE_CAP + 1)))
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="leading"):
+            parse_family("0,0", normalize=normalize)
 
 
 def test_parse_family_normalize():
