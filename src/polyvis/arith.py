@@ -3,8 +3,8 @@ roots of polynomials over F_p, digits.
 
 Everything here works on plain Python ints (arbitrary precision) and
 `fractions.Fraction`, so results are exact. Factorization is deterministic
-run-to-run: trial division by sieved primes, then a 6k±1 wheel, then
-Brent-cycle Pollard rho seeded from the number being split.
+run-to-run: trial division by sieved primes, then Brent-cycle Pollard rho
+seeded from the number being split.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS = 40  # randomized rounds above the deterministic bound
 
 _SMALL_PRIME_LIMIT = 10_000
-_WHEEL_LIMIT = 10**6  # trial division never goes past this
 
 
 def lcm_many(values) -> int:
@@ -129,8 +128,8 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as [(p, e), ...] with p ascending.
 
-    factorize(1) == []. Trial division by primes to 1e4, then a 6k±1 wheel
-    to 1e6, then Pollard rho (Brent) on whatever composite survives.
+    factorize(1) == []. Trial division by primes to 1e4, then Pollard rho
+    (Brent) on whatever composite survives.
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -145,19 +144,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
         # cofactor below the square of the trial bound is prime
         counts[n] = counts.get(n, 0) + 1
         n = 1
-    if n > 1 and not is_prime(n):
-        d = _SMALL_PRIME_LIMIT + 1
-        d += (5 - d % 6) % 6 if d % 6 not in (1, 5) else 0
-        step = 2 if d % 6 == 5 else 4
-        while d <= _WHEEL_LIMIT and d * d <= n:
-            if n % d == 0:
-                while n % d == 0:
-                    counts[d] = counts.get(d, 0) + 1
-                    n //= d
-                if is_prime(n):
-                    break
-            d += step
-            step = 6 - step
     if n > 1:
         stack = [n]
         while stack:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from . import census, geometry
 from .construct import construct_multi_prime, construct_visible
 from .errors import ResourceLimitError
-from .polyfam import LatticePoint, PolyFamily, parse_family
+from .polyfam import LatticePoint, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 _COUNT_MODES = {"oracle": None, "subsets": census.SUBSET_MODE, "pruned": census.PRUNED_MODE}
@@ -82,12 +82,8 @@ def _parse_region(text: str) -> geometry.Region:
     return geometry.Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
 
 
-def _family(args) -> PolyFamily:
-    return parse_family(args.poly, normalize=True)
-
-
 def cmd_visible(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     pt = _parse_point(args.point)
     verdict = is_visible(fam, pt)
     payload = {"visible": verdict.visible}
@@ -100,7 +96,7 @@ def cmd_visible(args):
 
 
 def cmd_density(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     cap = _scope_cap()
     census.check_prime_bound(args.prime_bound)
     rows = census.density_rows(fam, args.n, cap=cap)
@@ -124,7 +120,7 @@ def cmd_density(args):
 
 
 def cmd_count(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     cap = _scope_cap()
     mode = _COUNT_MODES[args.mode]
     if mode is None:
@@ -136,7 +132,7 @@ def cmd_count(args):
 
 def cmd_construct(args):
     pt = _parse_point(args.point)
-    if args.multi:
+    if args.multi is not None:
         ells = _parse_ints(args.multi, "--multi must be a comma list of integers")
         got = construct_multi_prime(pt, ells)
     else:
@@ -145,7 +141,7 @@ def cmd_construct(args):
 
 
 def cmd_blocks(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     cap = _scope_cap()
     mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
     region = geometry.Region(1, mx, 1, my)
@@ -168,7 +164,7 @@ def cmd_blocks(args):
 
 
 def cmd_classify(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     region = _parse_region(args.region)
     grid = geometry.classify_region(fam, region, cap=_scope_cap())
     if args.out:
@@ -182,7 +178,7 @@ def cmd_classify(args):
 
 
 def cmd_radius(args):
-    fam = _family(args)
+    fam = parse_family(args.poly)
     region = _parse_region(args.region)
     got = geometry.find_point_with_radius(fam, region, args.r, cap=_scope_cap())
     payload = {

@@ -147,7 +147,7 @@ def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
     The average still hits (a, b) exactly; each interior value should keep
     every ell in its reduced denominator. Both facts are checked per input;
     a violation of the denominator claim is recorded as a counterexample
-    list rather than raised. Each component checks its own ell.
+    list rather than raised. Every ell is checked before any curve is built.
     """
     ells = tuple(ells)
     if not ells:
@@ -156,6 +156,8 @@ def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
         raise ResourceLimitError(f"{len(ells)} primes exceed the cap {MULTI_PRIME_CAP}")
     if len(set(ells)) != len(ells):
         raise ValueError(f"duplicate prime in {ells}")
+    for ell in ells:
+        _check_ell(ell, max(pt.a, pt.b))
     components = tuple(construct_visible(pt, ell) for ell in ells)
     columns = zip_longest(*(c.curve.coeffs for c in components), fillvalue=Fraction(0))
     curve = RationalPoly(tuple(sum(col) / len(components) for col in columns))

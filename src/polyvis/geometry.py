@@ -121,20 +121,13 @@ def _iter_blocks(cache: ProfileCache, size: int, region: Region, x_lo: int, x_hi
             yield BlockHit(LatticePoint(a - size + 1, region.min_y + int(idx)), size)
 
 
-def scan_block_range(
-    family: PolyFamily,
-    size: int,
-    region: Region,
-    x_lo: int,
-    x_hi: int,
-    cache: ProfileCache | None = None,
-) -> BlockHit | None:
+def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x_hi: int) -> BlockHit | None:
     """First all-invisible size x size block with corner x in [x_lo, x_hi].
 
     Running it over the full corner range is exactly find_block; over split
     ranges, the minimum (x, y) of the partial results is the same answer.
     """
-    return next(_iter_blocks(cache or ProfileCache(family), size, region, x_lo, x_hi), None)
+    return next(_iter_blocks(ProfileCache(family), size, region, x_lo, x_hi), None)
 
 
 def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> BlockHit | None:
@@ -231,4 +224,4 @@ BLOCK_SURVEY = (
 
 def survey_family(a_coeff: int, b_coeff: int) -> PolyFamily:
     """Quadratic A,B row as a content-normalized family."""
-    return parse_family(f"{a_coeff},{b_coeff}", normalize=True)
+    return parse_family(f"{a_coeff},{b_coeff}")

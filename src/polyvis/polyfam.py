@@ -75,12 +75,12 @@ class PolyFamily:
         return " + ".join(terms)
 
 
-def parse_family(text: str, normalize: bool = False) -> PolyFamily:
+def parse_family(text: str, *, normalize: bool = True) -> PolyFamily:
     """Parse a descending-degree coefficient list like "1,0,3" (= x^3 + 3x).
 
-    With normalize=True a common factor is divided out instead of rejected
-    (so "4,4" becomes x^2 + x); the default is to refuse content != 1.
-    PolyFamily makes every other check.
+    A common factor is divided out ("4,4" becomes x^2 + x), as the CLI
+    does; PolyFamily makes every other check. normalize has no effect: it
+    is accepted because bench/checks.py still passes normalize=True.
     """
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
@@ -91,8 +91,6 @@ def parse_family(text: str, normalize: bool = False) -> PolyFamily:
         raise ValueError(f"family spec {text!r} is not a comma list of integers") from None
     g = math.gcd(*desc)
     if g > 1:
-        if not normalize:
-            raise ValueError(f"family spec {text!r} has content {g}, expected 1")
         desc = [c // g for c in desc]
     return PolyFamily(tuple(reversed(desc)))
 

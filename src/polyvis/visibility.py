@@ -103,7 +103,12 @@ def _minimal_by_divisibility(values: set[int]) -> tuple[int, ...]:
 
 
 def column_profile(family: PolyFamily, a: int) -> ColumnProfile:
-    """Full modulus list for column a plus its minimal set and lcm prime support."""
+    """Full modulus list for column a plus its minimal set and lcm prime support.
+
+    The prime support factorizes L_P(a) in full, so the cost follows the
+    size of its factors, not a: for the degree-16 family 7,1,2,...,14,3,
+    0.62 s at a = 800 and 0.01 s at a = 2000 on a 2-CPU Xeon host.
+    """
     if a < 1:
         raise ValueError(f"column index must be >= 1, got {a}")
     cache = ProfileCache(family)
@@ -136,10 +141,11 @@ class ProfileCache:
     The one implementation of column moduli and of the lcm L_P(a):
     column_profile, lcm_criterion and every sieve read their columns here.
 
-    Grid scans and censuses touch every column many times; the cache keeps
-    evaluated P-values and minimal modulus sets keyed by column index, so
-    repeated lookups return the same tuples. Lcm prime sets are not kept:
-    every caller asks for each column once.
+    Mostly it serves P-values: column a reads P(t) for every t < a, so N
+    columns cost N evaluations of P, not N^2/2. Minimal modulus sets are
+    kept too, but censuses, grids and block scans ask for each column once;
+    only the radius search, whose rings overlap, reads a column again. Lcm
+    prime sets are not kept.
     """
 
     def __init__(self, family: PolyFamily):

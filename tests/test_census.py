@@ -250,6 +250,49 @@ def test_constant_cp_x2_plus_x_equals_two_root_product():
     assert res.value == pytest.approx(constant_cpq_star(1, 1, 10**5).value, rel=1e-12)
 
 
+def gcd_count(family, n):
+    """Pairs in [1,N]^2 with gcd(P(a), b) = 1, the points the gcd certificate
+    proves visible: the sum over a of sum_d mu(d) * floor(N / d), d running
+    over the squarefree d <= N that divide gcd(P(a), primorial(N)).
+
+    Test-only oracle for the Euler product, whose value is this count's
+    density. It shares no code with the census sieves."""
+    primorial = math.prod(primes_up_to(n))
+    total = 0
+
+    def mobius_sum(primes, i, d, sign):
+        nonlocal total
+        total += sign * (n // d)
+        for j in range(i, len(primes)):
+            if d * primes[j] > n:
+                break
+            mobius_sum(primes, j + 1, d * primes[j], -sign)
+
+    for a in range(1, n + 1):
+        mobius_sum([p for p, _ in factorize(math.gcd(family.eval(a), primorial))], 0, 1, 1)
+    return total
+
+
+EULER_SPECS = ("1", "1,1", "1,0,0", "2,5", "3,0,2,1")
+
+
+@pytest.mark.parametrize("spec", EULER_SPECS)
+def test_gcd_count_is_below_the_lcm_certificate(spec):
+    """gcd certificate => lcm certificate => visible, counted over [1,500]^2."""
+    family = parse_family(spec)
+    visible = empirical_density(family, 500).visible_count
+    assert gcd_count(family, 500) <= coprimality_count(family, 500) <= visible
+
+
+@pytest.mark.parametrize("spec", EULER_SPECS)
+def test_euler_product_is_the_gcd_certificate_density(spec):
+    """C_P is the density of gcd(P(a), b) = 1: at N = 2000 the count is
+    within N of C_P * N^2. One extra root at a prime p <= 37 breaks this."""
+    family = parse_family(spec)
+    n = 2000
+    assert n * abs(gcd_count(family, n) / n**2 - constant_cp(family, 10**5).value) <= 1
+
+
 def test_constant_cpq():
     assert constant_cpq(2, 2, 5).value == pytest.approx((9 / 16) * (1 - 2 / 25))
     assert constant_cpq(2, 3, 10**5).value == pytest.approx(0.553087914180739, abs=1e-12)

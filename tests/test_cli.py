@@ -344,6 +344,7 @@ def test_non_positive_scope_cap_is_bad_input(capsys, monkeypatch, raw):
         (("visible", "--poly", "1", "--point", "3"), "point must be 'a,b'"),
         (("classify", "--poly", "1", "--region", "1,5,1"), "region must be 'minx,maxx,miny,maxy'"),
         (("reproduce", "--target", "table1", "--rows", "7,a"), "--rows must be a comma list of integers"),
+        (("construct", "--point", "3,5", "--multi", ""), "--multi must be a comma list of integers"),
     ],
 )
 def test_comma_list_errors_are_readable(capsys, argv, message):

@@ -14,6 +14,7 @@ from polyvis import (
     next_prime_above,
     valuation_profile,
 )
+from polyvis import construct
 
 
 def test_point_3_5_default_prime():
@@ -149,6 +150,17 @@ def test_multi_prime_errors():
         construct_multi_prime(LatticePoint(1, 5), [7, 11])
     with pytest.raises(ValueError, match="exceed"):
         construct_multi_prime(LatticePoint(3, 5), [7, 5])
+
+
+def test_multi_prime_checks_every_ell_before_building(monkeypatch):
+    """A bad prime late in the list fails before the earlier curves are built."""
+    monkeypatch.setattr(construct, "_digit_curves", lambda *a: pytest.fail("a curve was built"))
+    with pytest.raises(ValueError, match="ell=15 is not prime"):
+        construct_multi_prime(LatticePoint(100000, 99991), [2**64 - 59, 15])
+    with pytest.raises(ValueError, match="must exceed the largest coordinate 100000"):
+        construct_multi_prime(LatticePoint(100000, 99991), [2**64 - 59, 99989])
+    with pytest.raises(ResourceLimitError, match="65 bits"):
+        construct_multi_prime(LatticePoint(3, 5), [7, 2**64 + 13])
 
 
 def test_prime_caps():

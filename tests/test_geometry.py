@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from polyvis import (
     BLOCK_SURVEY,
-    DEGREE_CAP,
+    PRUNED_MODE,
     BlockHit,
     LatticePoint,
     ProfileCache,
     Region,
     ResourceLimitError,
     blocks_to_csv,
+    brute_count,
     classify_region,
+    empirical_density,
+    exact_count_ie,
     find_all_blocks,
     find_block,
     find_point_with_radius,
@@ -27,6 +30,8 @@ from polyvis import (
     scan_block_range,
     survey_family,
 )
+
+from conftest import families
 
 X = parse_family("1")
 XSQ_X = parse_family("1,1")
@@ -128,14 +133,6 @@ def test_scan_block_range_partition_matches_full():
 
 
 @st.composite
-def families(draw):
-    # Low degrees half the time: blocks larger than 1x1 are rare at high degree.
-    lead = draw(st.integers(1, 3))
-    rest = draw(st.lists(st.integers(0, 3), max_size=draw(st.sampled_from((2, DEGREE_CAP - 1)))))
-    return parse_family(",".join(map(str, [lead, *rest])), normalize=True)
-
-
-@st.composite
 def block_cases(draw):
     family = draw(families())
     min_x, min_y = draw(st.integers(1, 40)), draw(st.integers(1, 200))
@@ -166,6 +163,37 @@ def test_block_scans_agree(case):
         if not grid[i : i + size, j : j + size].any()
     ]
     assert hits == expected
+
+
+@st.composite
+def oracle_cases(draw):
+    family = draw(families())
+    min_x, min_y = draw(st.integers(1, 46)), draw(st.integers(1, 60))
+    width, height = draw(st.integers(1, min(15, 61 - min_x))), draw(st.integers(1, 15))
+    return family, Region(min_x, min_x + width - 1, min_y, min_y + height - 1), draw(st.integers(1, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_fast_paths_match_is_visible_direct(case):
+    """The column sieve, the block scanner and the counts agree with the
+    rational-arithmetic definition, which shares no modulus code with them."""
+    family, region, n = case
+    grid = classify_region(family, region)
+    truth = np.array([
+        [is_visible_direct(family, LatticePoint(x, y)) for y in range(region.min_y, region.max_y + 1)]
+        for x in range(region.min_x, region.max_x + 1)
+    ])
+    assert (grid == truth).all()
+    for size in (1, 2, 3):
+        assert find_all_blocks(family, size, region) == [
+            BlockHit(LatticePoint(region.min_x + i, region.min_y + j), size)
+            for i in range(region.width - size + 1)
+            for j in range(region.height - size + 1)
+            if not truth[i : i + size, j : j + size].any()
+        ]
+    count = empirical_density(family, n).visible_count
+    assert count == exact_count_ie(family, n, PRUNED_MODE) == brute_count(family, n)
 
 
 def test_block_csv(tmp_path):

@@ -19,8 +19,6 @@ def test_parse_family_basics():
 def test_parse_family_rejects_bad_specs():
     with pytest.raises(ValueError, match="empty"):
         parse_family("")
-    with pytest.raises(ValueError, match="content"):
-        parse_family("2,4")
     with pytest.raises(ValueError, match="negative"):
         parse_family("-1,1")
     with pytest.raises(ValueError, match="leading"):
@@ -31,16 +29,18 @@ def test_parse_family_rejects_bad_specs():
         parse_family("1,,2")
     with pytest.raises(ValueError, match="cap"):
         parse_family(",".join(["1"] * (DEGREE_CAP + 1)))
-    for normalize in (False, True):
-        with pytest.raises(ValueError, match="leading"):
-            parse_family("0,0", normalize=normalize)
+    with pytest.raises(ValueError, match="leading"):
+        parse_family("0,0")
 
 
 def test_parse_family_normalize():
-    assert parse_family("4,4", normalize=True).spec == "1,1"
-    assert parse_family("12,12", normalize=True).spec == "1,1"
-    with pytest.raises(ValueError):
-        parse_family("4,4")
+    """parse_family divides out the content; PolyFamily itself still rejects it."""
+    assert parse_family("4,4").spec == "1,1"
+    assert parse_family("12,12").spec == "1,1"
+    assert parse_family("2,4").spec == "1,2"
+    assert parse_family("6,0,9") == PolyFamily((3, 0, 2))
+    with pytest.raises(ValueError, match="content must be 1, got 4"):
+        PolyFamily((4, 4))
 
 
 def test_family_validation_direct():

@@ -158,7 +158,7 @@ def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a, bound, b):
     """ProfileCache.lcm(a) is lcm(m_{a,t}), taken from modulus(); prime_set(a)
     lists its primes, prime_set(a, bound) those <= bound, and lcm_criterion
     is coprimality with it."""
-    family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])), normalize=True)
+    family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])))
     lcm_all = lcm_many(modulus(family, a, t) for t in range(1, a))
     primes = tuple(p for p, _ in factorize(lcm_all))
     cache = ProfileCache(family)
