@@ -5,7 +5,12 @@ no earlier lattice point. This package decides that predicate exactly,
 counts and estimates densities of visible points, constructs curves that
 make a chosen point visible, and maps invisible blocks and visibility
 radii over regions.
+
+The census and geometry names load on first use (PEP 562), because those
+modules sieve with numpy and `visible` and `construct` need neither.
 """
+
+import importlib
 
 from .arith import (
     base_digits,
@@ -15,21 +20,6 @@ from .arith import (
     next_prime_above,
     primes_up_to,
     valuation,
-)
-from .census import (
-    PRUNED_MODE,
-    SUBSET_MODE,
-    CensusResult,
-    ConstantResult,
-    brute_count,
-    constant_cp,
-    constant_cpq,
-    constant_cpq_star,
-    coprimality_count,
-    density_rows,
-    empirical_density,
-    exact_count_ie,
-    rho,
 )
 from .construct import (
     Construction,
@@ -42,21 +32,6 @@ from .construct import (
     valuation_profile,
 )
 from .errors import ResourceLimitError
-from .geometry import (
-    BLOCK_SURVEY,
-    BlockHit,
-    RadiusResult,
-    Region,
-    blocks_to_csv,
-    classify_region,
-    find_all_blocks,
-    find_block,
-    find_point_with_radius,
-    radius_to_visible,
-    region_to_csv,
-    scan_block_range,
-    survey_family,
-)
 from .polyfam import DEGREE_CAP, LatticePoint, PolyFamily, RationalPoly, parse_family
 from .visibility import (
     ColumnProfile,
@@ -71,3 +46,26 @@ from .visibility import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(
+    (
+        "PRUNED_MODE", "SUBSET_MODE", "CensusResult", "ConstantResult", "brute_count",
+        "constant_cp", "constant_cpq", "constant_cpq_star", "coprimality_count",
+        "density_rows", "empirical_density", "exact_count_ie", "rho",
+    ),
+    "census",
+) | dict.fromkeys(
+    (
+        "BLOCK_SURVEY", "BlockHit", "RadiusResult", "Region", "blocks_to_csv",
+        "classify_region", "find_all_blocks", "find_block", "find_point_with_radius",
+        "radius_to_visible", "region_to_csv", "scan_block_range", "survey_family",
+    ),
+    "geometry",
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

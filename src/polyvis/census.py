@@ -20,7 +20,7 @@ import numpy as np
 from .arith import count_roots_mod_p, factorize, primes_up_to
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
-from .visibility import ProfileCache, is_visible_direct, modulus, multiples_mask
+from .visibility import ProfileCache, is_visible_direct, modulus
 
 DEFAULT_N_CAP = 10_000
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
@@ -28,6 +28,21 @@ SUBSET_MODE = "subset-enumeration"
 PRUNED_MODE = "pruned-lcm"
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
 _ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
+
+
+def multiples_mask(mods, lo: int, hi: int) -> np.ndarray:
+    """Boolean array over b in [lo, hi]: True where some modulus in mods divides b.
+
+    The column sieve: with a column's minimal moduli it marks the invisible
+    points of that column, with its lcm prime set the points failing the
+    lcm certificate.
+    """
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    for m in mods:
+        start = -(-lo // m) * m
+        if start <= hi:
+            mask[start - lo :: m] = True
+    return mask
 
 
 @dataclass(frozen=True)

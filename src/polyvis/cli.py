@@ -20,6 +20,13 @@ that LATTICE_SCOPE_CAP does not change: density --prime-bound <= 1000000;
 count --mode oracle N <= 100 (subsets N <= 26); construct primes of at
 most 64 bits, and at most 4 of them for --multi. blocks --out without
 --all, and reproduce --target illustration with --rows, are bad input.
+
+Each command pays only for its own work. `visible`, `construct` and
+`reproduce --target illustration` run on integer and Fraction arithmetic
+and never import numpy; the commands that sieve (density, count, blocks,
+classify, radius, reproduce --target table1) import `census` or `geometry`
+when they run. `visible` tries the lcm certificate before the O(a) column
+scan.
 """
 
 from __future__ import annotations
@@ -32,13 +39,12 @@ import sys
 import time
 from fractions import Fraction
 
-from . import census, geometry
 from .construct import construct_multi_prime, construct_visible
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
-_COUNT_MODES = {"oracle": None, "subsets": census.SUBSET_MODE, "pruned": census.PRUNED_MODE}
+_COUNT_MODES = ("oracle", "pruned", "subsets")
 DEFAULT_COORD_CAP = 100_000
 
 
@@ -78,8 +84,10 @@ def _parse_point(text: str) -> LatticePoint:
     return pt
 
 
-def _parse_region(text: str) -> geometry.Region:
-    return geometry.Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
+def _parse_region(text: str):
+    from .geometry import Region
+
+    return Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
 
 
 def cmd_visible(args):
@@ -96,6 +104,8 @@ def cmd_visible(args):
 
 
 def cmd_density(args):
+    from . import census
+
     fam = parse_family(args.poly)
     cap = _scope_cap()
     census.check_prime_bound(args.prime_bound)
@@ -120,12 +130,14 @@ def cmd_density(args):
 
 
 def cmd_count(args):
+    from . import census
+
     fam = parse_family(args.poly)
     cap = _scope_cap()
-    mode = _COUNT_MODES[args.mode]
-    if mode is None:
+    if args.mode == "oracle":
         count = census.brute_count(fam, args.n, cap=cap)
     else:
+        mode = census.PRUNED_MODE if args.mode == "pruned" else census.SUBSET_MODE
         count = census.exact_count_ie(fam, args.n, mode=mode, cap=cap)
     return fam.spec, {"n": args.n, "count": count, "mode": args.mode}, 0
 
@@ -141,6 +153,8 @@ def cmd_construct(args):
 
 
 def cmd_blocks(args):
+    from . import geometry
+
     fam = parse_family(args.poly)
     cap = _scope_cap()
     mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
@@ -164,6 +178,8 @@ def cmd_blocks(args):
 
 
 def cmd_classify(args):
+    from . import geometry
+
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
     grid = geometry.classify_region(fam, region, cap=_scope_cap())
@@ -178,6 +194,8 @@ def cmd_classify(args):
 
 
 def cmd_radius(args):
+    from . import geometry
+
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
     got = geometry.find_point_with_radius(fam, region, args.r, cap=_scope_cap())
@@ -203,6 +221,8 @@ def _reproduce_illustration():
 
 
 def _reproduce_survey(rows_filter):
+    from . import geometry
+
     region = geometry.Region(1, 1000, 1, 1000)
     items = []
     for idx, (a_coeff, b_coeff), corner in geometry.BLOCK_SURVEY:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .census import multiples_mask
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily, parse_family
-from .visibility import ProfileCache, multiples_mask
+from .visibility import ProfileCache
 
 DEFAULT_REGION_CAP = 2000  # per dimension
 DEFAULT_MAX_LAYERS = 200

@@ -11,6 +11,7 @@ descending degree order, comma-separated: "2,5" means 2x^2 + 5x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,10 +114,26 @@ class RationalPoly:
         return d
 
     def eval(self, x: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The exact value at x, by Horner on integers.
+
+        With D the lcm of the coefficient denominators and x = p/q, Horner
+        runs on the integer coefficients of D * curve, homogenized in (p, q),
+        and one Fraction is built at the end: acc / (D * q^k) with
+        k = len(coeffs) - 1. The value equals Fraction-by-Fraction Horner.
+        """
+        den, nums = self._integral
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for n in nums:
+            acc = acc * p + n * scale
+            scale *= q
+        return Fraction(acc * q, den * scale)
+
+    @functools.cached_property
+    def _integral(self) -> tuple[int, tuple[int, ...]]:
+        """(D, the coefficients of D * curve from the highest power down)."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
 
     def __str__(self) -> str:
         terms = []

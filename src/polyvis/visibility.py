@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-import numpy as np
-
 from .arith import factorize, primes_up_to
 from .polyfam import LatticePoint, PolyFamily
 
@@ -40,21 +38,6 @@ class ColumnProfile:
     lcm_prime_set: tuple[int, ...]  # primes dividing lcm of the d_t
 
 
-def multiples_mask(mods, lo: int, hi: int) -> np.ndarray:
-    """Boolean array over b in [lo, hi]: True where some modulus in mods divides b.
-
-    The column sieve: with a column's minimal moduli it marks the invisible
-    points of that column, with its lcm prime set the points failing the
-    lcm certificate.
-    """
-    mask = np.zeros(hi - lo + 1, dtype=bool)
-    for m in mods:
-        start = -(-lo // m) * m
-        if start <= hi:
-            mask[start - lo :: m] = True
-    return mask
-
-
 def modulus(family: PolyFamily, a: int, t: int) -> int:
     """m_{a,t} = P(a) / gcd(P(a), P(t)); the divisor of b that blocks (a, b) at t."""
     if not 1 <= t < a:
@@ -64,7 +47,14 @@ def modulus(family: PolyFamily, a: int, t: int) -> int:
 
 
 def is_visible(family: PolyFamily, point: LatticePoint) -> VisibilityVerdict:
-    """Visibility of (a, b), with the smallest blocking t as witness if invisible."""
+    """Visibility of (a, b), with the smallest blocking t as witness if invisible.
+
+    The lcm certificate comes first: when b is coprime to L_P(a), one gcd
+    over at most deg + 1 values proves (a, b) visible. Otherwise the O(a)
+    column scan runs, so an invisible point still gets its smallest t.
+    """
+    if lcm_criterion(family, point):
+        return VisibilityVerdict(True)
     a, b = point.a, point.b
     pa = family.eval(a)
     for t in range(1, a):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from polyvis import census, find_all_blocks, parse_family
+import polyvis
+from polyvis import census, find_all_blocks, geometry, parse_family
 from polyvis.cli import main
 from polyvis.geometry import Region
 
@@ -386,3 +388,46 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["payload"]["visible"] is True
+
+
+_NUMPY_PROBE = """
+import sys
+from polyvis import cli
+if sys.argv[1:]:
+    cli.main(sys.argv[1:])
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ((), False),
+        (("visible", "--poly", "1,1", "--point", "13,195"), False),
+        (("construct", "--point", "3,5", "--multi", "7,11"), False),
+        (("reproduce", "--target", "illustration"), False),
+        (("density", "--poly", "1", "--n", "10"), True),
+    ],
+)
+def test_only_sieving_commands_load_numpy(argv, loads_numpy):
+    """Start-up guard: importing polyvis.cli and running the query commands in
+    a fresh interpreter leaves numpy unloaded; the census commands load it."""
+    src = str(Path(polyvis.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_lazy_package_names_resolve():
+    from polyvis import BLOCK_SURVEY, brute_count, classify_region
+
+    assert brute_count is census.brute_count
+    assert (classify_region, BLOCK_SURVEY) == (geometry.classify_region, geometry.BLOCK_SURVEY)
+    with pytest.raises(AttributeError):
+        polyvis.no_such_name

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvis import (
@@ -201,3 +201,22 @@ def test_bundle_errors():
         construct_curve_bundle([1, 5])
     with pytest.raises(ValueError, match="exceed"):
         construct_curve_bundle([2, 3, 5], 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(2, 2000),
+    rest=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+    count=st.integers(1, construct.MULTI_PRIME_CAP),
+)
+def test_every_construct_result_is_verified(a, rest, count):
+    """construct_visible, construct_curve_bundle and construct_multi_prime all
+    check every 0 < t < a, and each reports verified."""
+    pt = LatticePoint(a, rest[0])
+    assert construct_visible(pt).verified
+    assert construct_curve_bundle((a, *rest)).verified
+    ells = [next_prime_above(max(a, *rest))]
+    while len(ells) < count:
+        ells.append(next_prime_above(ells[-1]))
+    multi = construct_multi_prime(pt, ells)
+    assert multi.verified and all(c.verified for c in multi.components)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvis import DEGREE_CAP, LatticePoint, PolyFamily, RationalPoly, parse_family
 
@@ -105,3 +107,22 @@ def test_rational_poly():
     padded = RationalPoly((Fraction(1), Fraction(0), Fraction(0)))
     assert padded.degree == 0
     assert RationalPoly((Fraction(0),)).eval(17) == 0
+
+
+def _fraction_horner(coeffs, x):
+    """Oracle: Horner with one Fraction operation per coefficient."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(-10**6, 10**6, max_denominator=10**9), max_size=20),
+    x=st.one_of(st.integers(-10**4, 10**4), st.fractions(-100, 100, max_denominator=10**4)),
+)
+def test_rational_poly_eval_matches_fraction_horner(coeffs, x):
+    got = RationalPoly(tuple(coeffs)).eval(x)
+    assert isinstance(got, Fraction)
+    assert got == _fraction_horner(coeffs, x)

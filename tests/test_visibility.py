@@ -21,6 +21,8 @@ from polyvis import (
     parse_family,
 )
 
+from conftest import families
+
 X = parse_family("1")
 XSQ = parse_family("1,0")
 XSQ_X = parse_family("1,1")
@@ -203,3 +205,51 @@ def test_profile_cache_consistent_and_idempotent(family):
     for _ in range(200):
         a, b = rng.randrange(1, 90), rng.randrange(1, 500)
         assert cache.is_visible(a, b) == is_visible(family, LatticePoint(a, b)).visible
+
+
+def _full_scan(family, a, b):
+    """Oracle: the column scan over every t < a, with no certificate first."""
+    pa = family.eval(a)
+    for t in range(1, a):
+        m = pa // math.gcd(pa, family.eval(t))
+        if b % m == 0:
+            return False, t, m
+    return True, None, None
+
+
+@st.composite
+def _points(draw, family):
+    """(a, b) drawn free, on a multiple of a column modulus (invisible), or on a
+    multiple of a small prime of L_P(a) (uncertified, either verdict)."""
+    a = draw(st.integers(1, 150))
+    b = draw(st.integers(1, 10**4))
+    how = draw(st.sampled_from(("free", "modulus", "lcm prime")))
+    primes = ProfileCache(family).prime_set(a, 50)
+    if how == "modulus" and a > 1:
+        b *= modulus(family, a, draw(st.integers(1, a - 1)))
+    elif how == "lcm prime" and primes:
+        b *= draw(st.sampled_from(primes))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), family=families())
+def test_is_visible_matches_full_scan(data, family):
+    """The lcm certificate exit changes neither the verdict nor the smallest witness."""
+    a, b = data.draw(_points(family))
+    v = is_visible(family, LatticePoint(a, b))
+    assert (v.visible, v.witness_t, v.witness_modulus) == _full_scan(family, a, b)
+
+
+def test_is_visible_scans_only_uncertified_points(monkeypatch):
+    """A certified point costs deg + 1 evaluations of P; an uncertified
+    one, here visible with gcd(P(a), b) = 5, still scans every t < a."""
+    family = parse_family("3," + "0," * 14 + "1")
+    calls = []
+    real_eval = type(family).eval
+    monkeypatch.setattr(type(family), "eval", lambda self, x: calls.append(x) or real_eval(self, x))
+    for b, certified in ((7, True), (5, False)):
+        assert lcm_criterion(family, LatticePoint(300, b)) is certified
+        calls.clear()
+        assert is_visible(family, LatticePoint(300, b)).visible
+        assert len(set(calls)) == (family.degree + 1 if certified else 300)
