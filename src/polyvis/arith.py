@@ -22,6 +22,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS = 40  # randomized rounds above the deterministic bound
 
 _SMALL_PRIME_LIMIT = 10_000
+_SPLIT_FROM = 256  # roots_mod_p tries every residue below this prime, splits from it on
 
 
 def lcm_many(values) -> int:
@@ -187,24 +188,73 @@ def count_roots_mod_p(coeffs, p: int) -> int:
     Every element of F_p is a simple root of x^p - x, so the count is
     deg gcd(Q, x^p - x) with Q the polynomial reduced mod p (Cohen, GTM 138,
     polynomials over finite fields). Q mod p must not be zero.
-
-    x^p mod Q comes from square-and-multiply on polynomials packed into one
-    int, w bits per coefficient (Kronecker substitution), so a square is one
-    bigint product. A coefficient never exceeds 2d(p-1)^2 < 2^w before it
-    is reduced: the square contributes at most d products of residues, and
-    the reduction adds one more per folded-in power x^k, k = d..2d-1.
     """
+    return len(_frobenius_gcd(coeffs, p)) - 1
+
+
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """The distinct roots in F_p of sum coeffs[i] * x**i, ascending, for a prime p.
+
+    The roots are those of g = gcd(Q, x^p - x). Below _SPLIT_FROM every
+    residue is tried on g. Above it, equal-degree splitting (Cantor-Zassenhaus;
+    Cohen, GTM 138, 3.4.3): gcd(g, (x + s)^((p-1)/2) - 1) holds the roots r
+    with r + s a nonzero square. Shifts s = 0, 1, 2, ... are tried until one
+    splits g; for two roots r != r', (p - 1)/2 shifts separate them. Q mod p
+    must not be zero.
+    """
+    g = _frobenius_gcd(coeffs, p)
+    if p < _SPLIT_FROM:
+        return [r for r in range(p) if _value_mod_p(g, r, p) == 0]
+    roots = []
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            for s in range(p):
+                h = _power_mod(g, p, s, (p - 1) // 2)
+                h[0] = (h[0] - 1) % p
+                f = _gcd_mod_p(list(g), h, p)
+                if 1 < len(f) < len(g):
+                    stack += [f, _quotient_mod_p(g, f, p)]
+                    break
+    return sorted(roots)
+
+
+def _value_mod_p(cs: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _frobenius_gcd(coeffs, p: int) -> list[int]:
+    """Monic gcd(Q, x^p - x) over F_p, little-endian: the product of x - r over the roots r of Q."""
     q = [c % p for c in coeffs]
     while q and q[-1] == 0:
         q.pop()
     if not q:
         raise ValueError(f"polynomial is zero mod {p}")
-    d = len(q) - 1
-    if d <= 1:
-        return d
     inv = pow(q[-1], -1, p)
     q = [c * inv % p for c in q]
+    if len(q) <= 2:
+        return q
+    h = _power_mod(q, p, 0, p)
+    h[1] = (h[1] - 1) % p
+    return _gcd_mod_p(q, h, p)
 
+
+def _power_mod(q: list[int], p: int, s: int, e: int) -> list[int]:
+    """(x + s)^e mod q over F_p, for monic q of degree d >= 2 and e >= 1; d coefficients.
+
+    Square-and-multiply on polynomials packed into one int, w bits per
+    coefficient (Kronecker substitution), so a square is one bigint product.
+    A coefficient never exceeds 2d(p-1)^2 < 2^w before it is reduced: the
+    square contributes at most d products of residues, and the reduction
+    adds one more per folded-in power x^k, k = d..2d-1.
+    """
+    d = len(q) - 1
     w = 2 * p.bit_length() + (2 * d).bit_length()
     mask = (1 << w) - 1
     shifts = range(0, d * w, w)
@@ -217,9 +267,9 @@ def count_roots_mod_p(coeffs, p: int) -> int:
 
     def unpack(v):
         """The d lowest coefficients of v, reduced mod p."""
-        return [(v >> s & mask) % p for s in shifts]
+        return [(v >> i & mask) % p for i in shifts]
 
-    # fold[k - d] = x^k mod Q, packed, for the powers a square times x reaches
+    # fold[k - d] = x^k mod q, packed, for the powers a square times x reaches
     fold = []
     r = [-c % p for c in q[:d]]  # x^d = -(q_0 + ... + q_{d-1} x^{d-1})
     for _ in range(d):
@@ -232,19 +282,21 @@ def count_roots_mod_p(coeffs, p: int) -> int:
     def reduce(v):
         return pack(unpack(sum(map(operator.mul, unpack(v >> (d * w)), fold), v & low)))
 
-    acc = 1 << w  # x
-    for bit in bin(p)[3:]:
+    acc = pack([s % p, 1])
+    for bit in bin(e)[3:]:
         acc *= acc
         if bit == "1":
-            acc <<= w
+            if s:
+                acc = reduce(acc)
+                acc = (acc << w) + s * acc
+            else:
+                acc <<= w
         acc = reduce(acc)
-    h = unpack(acc)
-    h[1] = (h[1] - 1) % p
-    return _gcd_degree_mod_p(q, h, p)
+    return unpack(acc)
 
 
-def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
-    """deg gcd(a, b) over F_p; little-endian coefficient lists, a nonzero, both consumed."""
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd(a, b) over F_p; little-endian coefficient lists, a nonzero, both consumed."""
     while b and b[-1] == 0:
         b.pop()
     while b:
@@ -258,7 +310,20 @@ def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
         while a and a[-1] == 0:
             a.pop()
         a, b = b, a
-    return len(a) - 1
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _quotient_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """a / b over F_p for monic b dividing a; little-endian coefficient lists."""
+    a = list(a)
+    db = len(b) - 1
+    out = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = out[i - db] = a[i]
+        if c:
+            a[i - db : i + 1] = [(x - c * y) % p for x, y in zip(a[i - db : i + 1], b)]
+    return out
 
 
 def base_digits(n: int, base: int) -> list[int]:

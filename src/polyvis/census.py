@@ -5,6 +5,9 @@ the end. The workhorse is a per-column sieve: column a is invisible exactly
 at multiples of its minimal moduli, so one strided fill per modulus
 (`multiples_mask`) gives the whole [1,N]^2 census in O(N^2 / m) writes.
 
+Every count over [1,N]^2 reads its columns from one ProfileCache(family, N):
+a modulus above N marks no b <= N, so only the moduli <= N are found.
+
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p
 (`arith.count_roots_mod_p`) rather than enumerating the p residues.
@@ -85,7 +88,7 @@ def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tup
     value at b = a (columns < a) plus its own column count up to b = a.
     """
     _check_n(n, cap)
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, n)
     row_bad = np.zeros(n, dtype=np.int64)  # row_bad[b - 1]: invisible (a', b) so far
     out = []
     total = 0
@@ -163,14 +166,13 @@ def exact_count_ie(
         raise ResourceLimitError(
             f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}"
         )
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, n)
     total = 0
     for a in range(1, n + 1):
         if mode == SUBSET_MODE:
             total += _ie_subsets([modulus(family, a, t) for t in range(1, a)], n)
         else:
-            mods = [m for m in cache.minimal_moduli(a) if m <= n]
-            total += _ie_pruned(mods, n)
+            total += _ie_pruned(cache.minimal_moduli(a), n)
     return total
 
 
@@ -240,7 +242,7 @@ def coprimality_count(family: PolyFamily, n: int, cap: int | None = None) -> int
     sieves only the primes <= N of L_P(a) (`ProfileCache.prime_set`).
     """
     _check_n(n, cap)
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, n)
     return sum(
         n - int(np.count_nonzero(multiples_mask(cache.prime_set(a, n), 1, n)))
         for a in range(1, n + 1)

@@ -14,7 +14,8 @@ elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 0 success, 1 reproduction failure, 2 bad input, 3 resource cap exceeded.
 Caps: N <= 10000 (density, count); regions <= 2000 per side (blocks,
 classify, and radius, which counts its region grown by r); coordinates of
---point <= 100000 (visible, construct). The environment variable
+--point (visible, construct) and of region corners (blocks --max,
+classify, radius grown by r) <= 100000. The environment variable
 LATTICE_SCOPE_CAP, a positive integer, overrides all of them. Fixed caps
 that LATTICE_SCOPE_CAP does not change: density --prime-bound <= 1000000;
 count --mode oracle N <= 100 (subsets N <= 26); construct primes of at
@@ -90,6 +91,19 @@ def _parse_region(text: str):
     return Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
 
 
+def _check_reach(region, reach: int = 0) -> None:
+    """Raise unless the region, grown by reach up and right, is within the coordinate cap.
+
+    A column's work and its cache's bound grow with the coordinates, so the
+    width and height caps alone do not bound a region far from the origin.
+    """
+    limit = _scope_cap() or DEFAULT_COORD_CAP
+    if region.extent + reach > limit:
+        raise ResourceLimitError(
+            f"region reaches coordinate {region.extent + reach}, past the coordinate cap {limit}"
+        )
+
+
 def cmd_visible(args):
     fam = parse_family(args.poly)
     pt = _parse_point(args.point)
@@ -161,6 +175,7 @@ def cmd_blocks(args):
     region = geometry.Region(1, mx, 1, my)
     if args.all != bool(args.out):
         raise ValueError("--all and --out go together: --all writes its block corners to --out")
+    _check_reach(region)
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
         hits = geometry.find_all_blocks(fam, args.size, region, cap=cap)
@@ -182,6 +197,7 @@ def cmd_classify(args):
 
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
+    _check_reach(region)
     grid = geometry.classify_region(fam, region, cap=_scope_cap())
     if args.out:
         geometry.region_to_csv(grid, region, args.out)
@@ -198,6 +214,7 @@ def cmd_radius(args):
 
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
+    _check_reach(region, max(args.r, 0))
     got = geometry.find_point_with_radius(fam, region, args.r, cap=_scope_cap())
     payload = {
         "found": got is not None,

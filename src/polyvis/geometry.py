@@ -46,6 +46,11 @@ class Region:
     def height(self) -> int:
         return self.max_y - self.min_y + 1
 
+    @property
+    def extent(self) -> int:
+        """The largest coordinate in the region: the bound of a column cache that reads it."""
+        return max(self.max_x, self.max_y)
+
 
 @dataclass(frozen=True)
 class BlockHit:
@@ -73,7 +78,7 @@ def _check_cap(region: Region, cap: int | None) -> None:
 def classify_region(family: PolyFamily, region: Region, cap: int | None = None) -> np.ndarray:
     """Visibility flags for the whole region; grid[i, j] is (min_x+i, min_y+j)."""
     _check_cap(region, cap)
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, region.extent)
     grid = np.empty((region.width, region.height), dtype=bool)
     for i in range(region.width):
         grid[i] = ~multiples_mask(cache.minimal_moduli(region.min_x + i), region.min_y, region.max_y)
@@ -128,7 +133,7 @@ def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x
     Running it over the full corner range is exactly find_block; over split
     ranges, the minimum (x, y) of the partial results is the same answer.
     """
-    return next(_iter_blocks(ProfileCache(family), size, region, x_lo, x_hi), None)
+    return next(_iter_blocks(ProfileCache(family, region.extent), size, region, x_lo, x_hi), None)
 
 
 def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> BlockHit | None:
@@ -140,7 +145,7 @@ def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = 
 def find_all_blocks(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> list[BlockHit]:
     """Every block corner in the region, in scan order."""
     _check_cap(region, cap)
-    return list(_iter_blocks(ProfileCache(family), size, region, region.min_x, region.max_x))
+    return list(_iter_blocks(ProfileCache(family, region.extent), size, region, region.min_x, region.max_x))
 
 
 def blocks_to_csv(hits, path) -> None:
@@ -162,10 +167,15 @@ def radius_to_visible(
     Ring k is the part of [x, x+k] x [y, y+k] outside [x, x+k-1] x
     [y, y+k-1]: column x+k and row y+k. distance is the first k whose ring
     holds a visible point; 0 means the origin itself is visible, -1 that
-    no ring up to max_layers does.
+    no ring up to max_layers does. The rings reach max(x, y) + max_layers,
+    which a given cache's bound must cover.
     """
-    cache = cache or ProfileCache(family)
     x, y = origin.a, origin.b
+    reach = max(x, y) + max_layers
+    if cache is None:
+        cache = ProfileCache(family, reach)
+    elif cache.bound < reach:
+        raise ValueError(f"the rings reach {reach}, past the cache bound {cache.bound}")
     for k in range(max_layers + 1):
         ring = [(x + k, y + j) for j in range(k + 1)] + [(x + i, y + k) for i in range(k)]
         if any(cache.is_visible(a, b) for a, b in ring):
@@ -184,8 +194,9 @@ def find_point_with_radius(
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    _check_cap(Region(region.min_x, region.max_x + r, region.min_y, region.max_y + r), cap)
-    cache = ProfileCache(family)
+    grown = Region(region.min_x, region.max_x + r, region.min_y, region.max_y + r)
+    _check_cap(grown, cap)
+    cache = ProfileCache(family, grown.extent)
     if r == 0:
         xs, ys = range(region.min_x, region.max_x + 1), range(region.min_y, region.max_y + 1)
         candidates = (LatticePoint(i, j) for i in xs for j in ys)

@@ -8,6 +8,12 @@ has b*P(t)/P(a) an integer; equivalently, none of the column moduli
 divides b. Column a = 1 has no earlier columns, so every (1, b) is
 visible. Column a's moduli have lcm L_P(a) = P(a) / gcd(P(1), ..., P(a)).
 Everything in this module is exact integer arithmetic.
+
+The single-point functions (`is_visible`, `is_visible_direct`,
+`column_profile`) scan every t < a. The sieves read whole columns from a
+`ProfileCache` with a bound, which finds the moduli <= bound from the
+divisors of P(a) and the roots of P modulo its prime powers, and pays
+one gcd per candidate t instead of one per earlier column.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, primes_up_to, roots_mod_p, valuation
 from .polyfam import LatticePoint, PolyFamily
 
 
@@ -101,10 +107,10 @@ def column_profile(family: PolyFamily, a: int) -> ColumnProfile:
     """
     if a < 1:
         raise ValueError(f"column index must be >= 1, got {a}")
-    cache = ProfileCache(family)
-    pa = cache.value(a)
-    pairs = tuple((t, pa // gcd(pa, cache.value(t))) for t in range(1, a))
-    return ColumnProfile(a, pairs, cache.minimal_moduli(a), cache.prime_set(a))
+    pa = family.eval(a)
+    pairs = tuple((t, pa // gcd(pa, family.eval(t))) for t in range(1, a))
+    minimal = _minimal_by_divisibility({m for _, m in pairs})
+    return ColumnProfile(a, pairs, minimal, ProfileCache(family, a).prime_set(a))
 
 
 def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
@@ -117,31 +123,44 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
 
     L_P(a) comes from `ProfileCache.lcm`, so nothing is factorized.
     """
-    return gcd(ProfileCache(family).lcm(point.a), point.b) == 1
+    return gcd(ProfileCache(family, max(point.a, point.b)).lcm(point.a), point.b) == 1
+
+
+_SCAN_TO = 128  # ProfileCache takes every t < a as a candidate up to this column
+_CLASS_RUN = 8  # t per candidate class at which ProfileCache stops refining by CRT
 
 
 @lru_cache(maxsize=4)
 def _primorial(bound: int) -> int:
-    return prod(primes_up_to(bound))
+    """Product of the primes <= bound, multiplied pairwise: a product tree, not a quadratic fold."""
+    level = primes_up_to(bound) or [1]
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 class ProfileCache:
-    """Column data for one family, computed once per column and reused.
+    """Column data for one family up to a bound, computed once per column and reused.
 
-    The one implementation of column moduli and of the lcm L_P(a):
-    column_profile, lcm_criterion and every sieve read their columns here.
+    The one implementation of the sieves' column moduli and of the lcm
+    L_P(a): lcm_criterion and every sieve read their columns here.
 
-    Mostly it serves P-values: column a reads P(t) for every t < a, so N
-    columns cost N evaluations of P, not N^2/2. Minimal modulus sets are
-    kept too, but censuses, grids and block scans ask for each column once;
-    only the radius search, whose rings overlap, reads a column again. Lcm
-    prime sets are not kept.
+    bound is the largest b, and the largest column, that the caller reads.
+    minimal_moduli(a) is the divisibility-minimal set of the m_{a,t}, t < a,
+    cut to [1, bound]: a modulus above the bound marks no b the caller
+    reads and is never produced, so is_visible refuses b > bound. Censuses,
+    grids and block scans ask for each column once; only the radius search,
+    whose rings overlap, reads a column again.
     """
 
-    def __init__(self, family: PolyFamily):
+    def __init__(self, family: PolyFamily, bound: int):
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
         self.family = family
+        self.bound = bound
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
+        self._root_classes: dict[tuple[int, int], tuple[float, list[tuple[int, int]]]] = {}
 
     def value(self, x: int) -> int:
         got = self._values.get(x)
@@ -152,9 +171,99 @@ class ProfileCache:
     def minimal_moduli(self, a: int) -> tuple[int, ...]:
         got = self._minimal.get(a)
         if got is None:
-            pa = self.value(a)
-            mods = {pa // gcd(pa, self.value(t)) for t in range(1, a)}
-            got = self._minimal[a] = _minimal_by_divisibility(mods)
+            got = self._minimal[a] = self._moduli(a)
+        return got
+
+    def _moduli(self, a: int) -> tuple[int, ...]:
+        """minimal_moduli(a): one gcd per candidate t (`_candidates`), not per t < a.
+
+        Up to column _SCAN_TO every t < a is a candidate: that many gcds cost
+        less than the factoring and the search. Past it only the bound-smooth
+        part of P(a) is factorized. The rest, C(a), is made of primes above
+        the bound and divides P(a)/m for every m <= bound. When bound >= a
+        those primes exceed a, and C(a) | P(t) = t Q(t) with Q = P/x forces
+        C(a) | (Q(a) - Q(t))/(a - t), which is at most Q(a) - Q(a-1)
+        (nonnegative coefficients). A larger C(a) leaves the column with no
+        modulus <= bound.
+        """
+        pa = self.value(a)
+        if a <= _SCAN_TO:
+            candidates = range(1, a)
+        else:
+            powers = [(p, valuation(p, pa)) for p, _ in factorize(gcd(pa, _primorial(self.bound)))]
+            rough = pa // prod(p**e for p, e in powers)
+            if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
+                return ()
+            candidates = self._candidates(a, powers)
+        mods = {pa // gcd(pa, self.value(t)) for t in candidates}
+        return _minimal_by_divisibility({m for m in mods if m <= self.bound})
+
+    def _candidates(self, a: int, powers: list[tuple[int, int]]) -> set[int]:
+        """t < a holding a witness of every modulus <= bound of column a; powers are
+        the prime powers p^e of P(a) with p <= bound.
+
+        m is a multiple of m_{a,t} exactly when d = P(a)/m divides P(t). So
+        for m = prod p^j <= bound, a witness t has p^(e-j) | P(t) for every p
+        and lies in the CRT intersection of `_classes(p, e - j)`. The search
+        branches on j prime by prime, largest p^e first, with the product of
+        the p^j at most bound, so every m <= bound has its branch. A branch
+        stops refining once its classes hold _CLASS_RUN t each on average,
+        and its classes join the candidates. A class whose least member is
+        >= a is dropped, since refining it only raises that member.
+        """
+        pool: set[tuple[int, int]] = set()
+        powers = sorted(powers, key=lambda pe: pe[0] ** pe[1], reverse=True)
+        stack = [(0, 1, [(0, 1)], 1.0)]
+        while stack:
+            i, m, classes, share = stack.pop()
+            if i == len(powers) or a * share <= _CLASS_RUN * len(classes):
+                pool.update(classes)
+                continue
+            p, e = powers[i]
+            pj = 1
+            for j in range(e + 1):
+                if m * pj > self.bound:
+                    break
+                if j == e:
+                    stack.append((i + 1, m * pj, classes, share))
+                else:
+                    density, cls = self._classes(p, e - j)
+                    merged = [
+                        (x, q * q2)
+                        for r, q in classes
+                        for s, q2 in cls
+                        if (x := r + q * ((s - r) * pow(q, -1, q2) % q2)) < a
+                    ]
+                    if merged:
+                        stack.append((i + 1, m * pj, merged, share * density))
+                pj *= p
+        return {t for r, q in pool for t in range(r or q, a, q)}
+
+    def _classes(self, p: int, e: int) -> tuple[float, list[tuple[int, int]]]:
+        """Residue classes (r, q), q a power of p, holding every t >= 0 with p^e | P(t),
+        and the share of the integers they hold.
+
+        A root r of P mod p with P'(r) a unit mod p lifts to one root mod p^e
+        (Hensel), kept mod the first power of p past the bound: that class
+        holds at most one t <= bound. A root with P'(r) = 0 mod p stays a
+        class mod p, a superset of its lifts.
+        """
+        got = self._root_classes.get((p, e))
+        if got is None:
+            coeffs = self.family.coeffs
+            classes = []
+            for r in {0, *roots_mod_p(coeffs, p)}:
+                slope = sum((i + 1) * c * r**i for i, c in enumerate(coeffs)) % p
+                q = p
+                if slope:
+                    inv = pow(slope, -1, p)
+                    for _ in range(e - 1):
+                        if q > self.bound:
+                            break
+                        q *= p
+                        r = (r - self.family.eval(r) * inv) % q
+                classes.append((r, q))
+            got = self._root_classes[(p, e)] = (sum(1 / q for _, q in classes), classes)
         return got
 
     def lcm(self, a: int) -> int:
@@ -176,5 +285,7 @@ class ProfileCache:
         return tuple(p for p, _ in factorize(n))
 
     def is_visible(self, a: int, b: int) -> bool:
-        """Same verdict as module-level is_visible, via the minimal modulus set."""
+        """Same verdict as module-level is_visible, via the minimal modulus set; b <= bound."""
+        if b > self.bound:
+            raise ValueError(f"b={b} is past the cache bound {self.bound}: its moduli are unknown")
         return all(b % m != 0 for m in self.minimal_moduli(a))

@@ -38,7 +38,7 @@ from polyvis import (
 )
 from polyvis.census import PRUNED_MODE, SUBSET_MODE
 from polyvis.cli import main
-from polyvis.geometry import BLOCK_SURVEY, Region, survey_family
+from polyvis.geometry import BLOCK_SURVEY, DEFAULT_MAX_LAYERS, Region, survey_family
 
 CORPUS = [parse_family(s) for s in ("1", "1,0", "1,1", "2,5", "1,0,1")]
 
@@ -198,7 +198,7 @@ def test_criterion_07_implication_chain():
     lcm_without_visible = []  # lcm test passed but the point is invisible
     lcm_without_gcd = []  # lcm test passed with gcd(P(a), b) > 1: allowed
     for fam in CORPUS:
-        cache = ProfileCache(fam)
+        cache = ProfileCache(fam, 120)
         for a in range(1, 121):
             primes = cache.prime_set(a)
             pa = cache.value(a)
@@ -258,7 +258,7 @@ def test_criterion_10_radius_search():
     fam = parse_family("1")
     r22 = radius_to_visible(fam, LatticePoint(2, 2)).distance
     found = find_point_with_radius(fam, Region(2, 10, 2, 10), 1)
-    cache = ProfileCache(fam)
+    cache = ProfileCache(fam, 30 + DEFAULT_MAX_LAYERS)  # the rings radius_to_visible reads
     zero_matches = all(
         (radius_to_visible(fam, LatticePoint(a, b), cache=cache).distance == 0)
         == cache.is_visible(a, b)

@@ -13,7 +13,7 @@ from polyvis import (
     primes_up_to,
     valuation,
 )
-from polyvis.arith import count_roots_mod_p
+from polyvis.arith import count_roots_mod_p, roots_mod_p
 
 
 def _trial_division_is_prime(n):
@@ -180,6 +180,29 @@ def test_count_roots_mod_p_counts_distinct_roots():
             if p % 4 == 3:  # x^2 + 1 has no roots mod p, so multiplying by it changes nothing
                 poly = [a + c for a, c in zip([0, 0, *poly], [*poly, 0, 0])]
                 assert count_roots_mod_p(poly, p) == len(set(roots))
+
+
+def test_roots_mod_p_finds_every_root():
+    """Below 256 every residue is tried on gcd(Q, x^p - x); from 256 on it is split."""
+    rng = random.Random(6)
+    for p in (2, 3, 5, 7, 101, 251, 257, 7919, 2**31 - 1):
+        for _ in range(25):
+            roots = [rng.randrange(p) for _ in range(rng.randrange(0, 8))]
+            poly = [rng.randrange(1, p)]
+            for r in roots:
+                poly = _times_linear(poly, r)
+            if p % 4 == 3:  # x^2 + 1 has no roots mod p
+                poly = [a + c for a, c in zip([0, 0, *poly], [*poly, 0, 0])]
+            assert roots_mod_p(poly, p) == sorted(set(roots))
+    for p in (2, 3, 5, 13, 263):
+        for _ in range(20):
+            poly = [rng.randrange(-9, 10) for _ in range(rng.randrange(2, 17))]
+            if all(c % p == 0 for c in poly):
+                continue
+            expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
+            assert roots_mod_p(poly, p) == expected
+    with pytest.raises(ValueError):
+        roots_mod_p([7, 14], 7)
 
 
 def test_count_roots_mod_p_degree_drops_and_errors():

@@ -295,6 +295,31 @@ def test_coordinate_cap(capsys, argv, code):
         assert err.startswith("error: point ") and err.endswith(" exceeds the coordinate cap 100000\n")
 
 
+@pytest.mark.parametrize(
+    "argv, reach",
+    [
+        (("classify", "--poly", "1", "--region", "1000000000,1000000001,1,2"), 1000000001),
+        (("radius", "--poly", "1", "--region", "100000000,100000001,1,2", "--r", "0"), 100000001),
+        (("radius", "--poly", "1", "--region", "99990,99995,1,2", "--r", "6"), 100001),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "5,100001"), 100001),
+    ],
+)
+def test_region_coordinate_cap(capsys, argv, reach):
+    """A column costs work linear in x, so region corners share the --point cap."""
+    start = time.perf_counter()
+    code, env, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and env is None
+    assert err == f"error: region reaches coordinate {reach}, past the coordinate cap 100000\n"
+
+
+def test_region_at_the_coordinate_cap(capsys):
+    code, env, _ = run_cli(capsys, "classify", "--poly", "1", "--region", "99999,100000,1,2")
+    assert code == 0 and env["payload"]["visible_count"] == 3  # (100000, 2) shares the factor 2
+    code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", "99990,99995,1,2", "--r", "5")
+    assert code == 0 and env["payload"]["found"] is False
+
+
 @pytest.mark.parametrize("scope_cap", [None, "100", "10000000000000"])
 @pytest.mark.parametrize("bound", ["1000001", "1000000000000"])
 def test_prime_bound_cap(capsys, monkeypatch, scope_cap, bound):

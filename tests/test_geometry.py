@@ -243,6 +243,13 @@ def test_radius_examples():
     assert radius_to_visible(X, LatticePoint(2, 2), max_layers=0).distance == -1
 
 
+def test_radius_refuses_a_cache_short_of_its_rings():
+    """The rings of (13, 195) up to 5 layers reach 200; a cache bound below that is refused."""
+    assert radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 200)).distance == 2
+    with pytest.raises(ValueError, match="the rings reach 200, past the cache bound 199"):
+        radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 199))
+
+
 def bfs_radius(cache: ProfileCache, origin: LatticePoint, max_layers: int) -> int:
     """Breadth-first layers of {right, up, diagonal} moves until a visible point.
 
@@ -269,7 +276,7 @@ def bfs_radius(cache: ProfileCache, origin: LatticePoint, max_layers: int) -> in
 
 def test_radius_is_chebyshev_distance_to_visible(family):
     """The ring scan finds the BFS distance over right/up/diagonal moves."""
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, 46)  # rings reach 40 + 6
     rng = random.Random(555)
     for _ in range(120):
         x0, y0 = rng.randrange(1, 41), rng.randrange(1, 41)
@@ -294,7 +301,7 @@ def radius_cases(draw):
 def test_find_point_with_radius_is_first_point_of_radius_r(case):
     """Block-corner candidates find the same point as a scan of every point."""
     family, region, r = case
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, region.extent + r)
     expected = next(
         (
             LatticePoint(i, j)

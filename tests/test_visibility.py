@@ -84,20 +84,20 @@ def test_divisor_test_matches_rational_definition_sampled(family):
 
 def test_identity_family_reduces_to_coprimality():
     """Along y = qx the visible points are exactly the classically visible ones."""
-    cache = ProfileCache(X)
+    cache = ProfileCache(X, 300)
     for a in range(1, 301):
         for b in range(1, 301):
             assert cache.is_visible(a, b) == (math.gcd(a, b) == 1)
 
 
 def test_first_row_always_visible(family):
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, 1000)
     assert all(cache.is_visible(a, 1) for a in range(1, 1001))
 
 
 def test_certificate_chain(family):
     """gcd(P(a), b) = 1 implies the lcm test passes, which implies visible."""
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, 100)
     for a in range(1, 101):
         primes = cache.prime_set(a)
         for b in range(1, 101):
@@ -163,7 +163,7 @@ def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a, bound, b):
     family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])))
     lcm_all = lcm_many(modulus(family, a, t) for t in range(1, a))
     primes = tuple(p for p, _ in factorize(lcm_all))
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, a)
     assert cache.lcm(a) == lcm_all
     assert cache.prime_set(a) == primes
     assert cache.prime_set(a, bound) == tuple(p for p in primes if p <= bound)
@@ -189,13 +189,13 @@ def test_column_profile_values():
 
 
 def test_profile_cache_consistent_and_idempotent(family):
-    cache = ProfileCache(family)
+    cache = ProfileCache(family, 500)
     for a in (1, 2, 9, 40):
         # Expectations come from the full modulus list alone: the minimal set
-        # is its divisibility-minimal elements, and since d_t = m_{a,t} the
-        # lcm prime set is the prime support of lcm(m_{a,t}).
+        # is its divisibility-minimal elements up to the bound, and since
+        # d_t = m_{a,t} the lcm prime set is the prime support of lcm(m_{a,t}).
         mods = {m for _, m in column_profile(family, a).moduli}
-        minimal = tuple(sorted(m for m in mods if not any(m != k and m % k == 0 for k in mods)))
+        minimal = tuple(sorted(m for m in mods if m <= 500 and not any(m != k and m % k == 0 for k in mods)))
         primes = tuple(sorted({p for m in mods for p, _ in factorize(m)}))
         assert cache.minimal_moduli(a) == minimal
         assert cache.prime_set(a) == primes
@@ -205,6 +205,45 @@ def test_profile_cache_consistent_and_idempotent(family):
     for _ in range(200):
         a, b = rng.randrange(1, 90), rng.randrange(1, 500)
         assert cache.is_visible(a, b) == is_visible(family, LatticePoint(a, b)).visible
+
+
+def _gcd_scan_minimal(family, a, bound):
+    """Oracle: the divisibility-minimal m_{a,t} over every t < a, by one gcd per t,
+    cut to [1, bound]."""
+    pa = family.eval(a)
+    mods = {pa // math.gcd(pa, family.eval(t)) for t in range(1, a)}
+    return tuple(sorted(m for m in mods if m <= bound and not any(m != k and m % k == 0 for k in mods)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=families(),
+    bound=st.integers(1, 800),
+    columns=st.lists(st.integers(1, 600), min_size=1, max_size=8),
+)
+# Columns past 128 go through the candidate search; those up to it take every t.
+@example(family=parse_family("1,1,1"), bound=800, columns=[545, 300])  # C(545) = 883 and 545 is a modulus
+@example(family=parse_family("3,0,2,1"), bound=600, columns=[200, 130])  # C(a) > Q(a) - Q(a-1): no modulus
+@example(family=parse_family("1,1"), bound=20, columns=[144, 147])  # bound < a: C(144) = 29 < a
+@example(family=parse_family("1,2,1"), bound=500, columns=[180, 90, 1, 2])  # -1 is a double root
+# 257 = a + 1 is a modulus equal to the bound, and t = a - 1 is its only witness.
+@example(family=parse_family("1,1"), bound=257, columns=[256])
+def test_minimal_moduli_match_gcd_scan(family, bound, columns):
+    """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
+    cut to [1, bound], for bounds above and below a and columns in any order."""
+    cache = ProfileCache(family, bound)
+    for a in columns:
+        assert cache.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
+
+
+def test_profile_cache_refuses_b_past_its_bound():
+    cache = ProfileCache(XSQ_X, 200)
+    assert cache.is_visible(13, 195) is False
+    assert cache.is_visible(13, 200) is True
+    with pytest.raises(ValueError, match="past the cache bound 200"):
+        cache.is_visible(13, 201)
+    with pytest.raises(ValueError):
+        ProfileCache(XSQ_X, 0)
 
 
 def _full_scan(family, a, b):
@@ -224,7 +263,7 @@ def _points(draw, family):
     a = draw(st.integers(1, 150))
     b = draw(st.integers(1, 10**4))
     how = draw(st.sampled_from(("free", "modulus", "lcm prime")))
-    primes = ProfileCache(family).prime_set(a, 50)
+    primes = ProfileCache(family, a).prime_set(a, 50)
     if how == "modulus" and a > 1:
         b *= modulus(family, a, draw(st.integers(1, a - 1)))
     elif how == "lcm prime" and primes:
