@@ -25,7 +25,6 @@ from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
 from .visibility import ProfileCache, is_visible_direct, modulus
 
-DEFAULT_N_CAP = 10_000
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
 SUBSET_MODE = "subset-enumeration"
 PRUNED_MODE = "pruned-lcm"
@@ -64,12 +63,9 @@ class ConstantResult:
     tail_bound: float
 
 
-def _check_n(n: int, cap: int | None) -> None:
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    limit = DEFAULT_N_CAP if cap is None else cap
-    if n > limit:
-        raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
 
 
 def check_prime_bound(prime_bound: int) -> None:
@@ -80,14 +76,14 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
-def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tuple[int, int, float]]:
+def density_rows(family: PolyFamily, n: int) -> list[tuple[int, int, float]]:
     """(N', visible_count, density) for every prefix square N' = 1..n.
 
     One pass: when column a arrives, its contribution to future rows is
     accumulated into a per-b histogram, so row a only needs the histogram
     value at b = a (columns < a) plus its own column count up to b = a.
     """
-    _check_n(n, cap)
+    _check_n(n)
     cache = ProfileCache(family, n)
     row_bad = np.zeros(n, dtype=np.int64)  # row_bad[b - 1]: invisible (a', b) so far
     out = []
@@ -102,15 +98,15 @@ def density_rows(family: PolyFamily, n: int, cap: int | None = None) -> list[tup
     return out
 
 
-def empirical_density(family: PolyFamily, n: int, cap: int | None = None) -> CensusResult:
+def empirical_density(family: PolyFamily, n: int) -> CensusResult:
     """Exact visible count over [1,N]^2 and its density: the last density row."""
-    _, count, density = density_rows(family, n, cap)[-1]
+    _, count, density = density_rows(family, n)[-1]
     return CensusResult(n, count, density)
 
 
-def brute_count(family: PolyFamily, n: int, cap: int | None = None) -> int:
+def brute_count(family: PolyFamily, n: int) -> int:
     """Pointwise ground truth straight from the definition. Slow on purpose."""
-    _check_n(n, cap)
+    _check_n(n)
     if n > _ORACLE_N_CAP:
         raise ResourceLimitError(f"the oracle count is O(N^3) work; N={n} exceeds {_ORACLE_N_CAP}")
     return sum(
@@ -148,9 +144,7 @@ def _ie_pruned(mods: list[int], n: int) -> int:
     return total
 
 
-def exact_count_ie(
-    family: PolyFamily, n: int, mode: str = PRUNED_MODE, cap: int | None = None
-) -> int:
+def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE) -> int:
     """Visible-pair count over [1,N]^2 by per-column inclusion-exclusion.
 
     Column a contributes sum over subsets J of its moduli of
@@ -159,7 +153,7 @@ def exact_count_ie(
     dedupes moduli to the divisibility-minimal set and abandons branches
     whose lcm passes N. The two agree everywhere.
     """
-    _check_n(n, cap)
+    _check_n(n)
     if mode not in (SUBSET_MODE, PRUNED_MODE):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == SUBSET_MODE and n > _SUBSET_COLUMN_CAP:
@@ -234,16 +228,16 @@ def constant_cpq_star(p: int, q: int, prime_bound: int) -> ConstantResult:
     return ConstantResult(value, prime_bound, 2.0 / (prime_bound - 1))
 
 
-def coprimality_count(family: PolyFamily, n: int, cap: int | None = None) -> int:
+def coprimality_count(family: PolyFamily, n: int) -> int:
     """Pairs in [1,N]^2 with b coprime to L_P(a), the lcm of column a's moduli.
 
     A subset of the visible pairs: the lcm certificate is sufficient for
     visibility, not necessary. Primes above N mark no b <= N, so each column
     sieves only the primes <= N of L_P(a) (`ProfileCache.prime_set`).
     """
-    _check_n(n, cap)
+    _check_n(n)
     cache = ProfileCache(family, n)
     return sum(
-        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a, n), 1, n)))
+        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a), 1, n)))
         for a in range(1, n + 1)
     )

@@ -11,16 +11,20 @@
 
 Each run prints a single JSON envelope {command, family?, payload,
 elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
-0 success, 1 reproduction failure, 2 bad input, 3 resource cap exceeded.
-Caps: N <= 10000 (density, count); regions <= 2000 per side (blocks,
-classify, and radius, which counts its region grown by r); coordinates of
---point (visible, construct) and of region corners (blocks --max,
-classify, radius grown by r) <= 100000. The environment variable
-LATTICE_SCOPE_CAP, a positive integer, overrides all of them. Fixed caps
-that LATTICE_SCOPE_CAP does not change: density --prime-bound <= 1000000;
-count --mode oracle N <= 100 (subsets N <= 26); construct primes of at
-most 64 bits, and at most 4 of them for --multi. blocks --out without
---all, and reproduce --target illustration with --rows, are bad input.
+0 success, 1 reproduction failure, 2 bad input, including an --out path
+that cannot be written, 3 resource cap exceeded.
+
+Scope caps, all checked here before any census or geometry call:
+N <= 10000 (density, count); regions <= 2000 per side (blocks, classify,
+and radius, which counts its region grown by r); coordinates of --point
+(visible, construct) and of region corners (blocks --max, classify,
+radius grown by r) <= 100000. LATTICE_SCOPE_CAP, a positive integer,
+overrides all of them. Library functions take no cap, so a library
+caller bounds its own work. Fixed caps, kept in the library and left
+alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
+--mode oracle N <= 100 (subsets N <= 26); construct primes of at most
+64 bits, at most 4 of them for --multi. blocks --out without --all, and
+--rows with --target illustration or naming no survey row, are bad input.
 
 Each command pays only for its own work. `visible`, `construct` and
 `reproduce --target illustration` run on integer and Fraction arithmetic
@@ -46,13 +50,16 @@ from .polyfam import LatticePoint, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 _COUNT_MODES = ("oracle", "pruned", "subsets")
+DEFAULT_N_CAP = 10_000
+DEFAULT_REGION_CAP = 2000  # per side
 DEFAULT_COORD_CAP = 100_000
 
 
-def _scope_cap() -> int | None:
+def _scope_cap(default: int) -> int:
+    """LATTICE_SCOPE_CAP when it is set, else default."""
     raw = os.environ.get("LATTICE_SCOPE_CAP")
     if raw is None:
-        return None
+        return default
     try:
         cap = int(raw)
     except ValueError:
@@ -79,7 +86,7 @@ def _parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
 def _parse_point(text: str) -> LatticePoint:
     """--point, with both coordinates within the coordinate cap."""
     pt = LatticePoint(*_parse_ints(text, "point must be 'a,b'", 2))
-    limit = _scope_cap() or DEFAULT_COORD_CAP
+    limit = _scope_cap(DEFAULT_COORD_CAP)
     if max(pt.a, pt.b) > limit:
         raise ResourceLimitError(f"point {pt.a},{pt.b} exceeds the coordinate cap {limit}")
     return pt
@@ -91,17 +98,26 @@ def _parse_region(text: str):
     return Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
 
 
-def _check_reach(region, reach: int = 0) -> None:
-    """Raise unless the region, grown by reach up and right, is within the coordinate cap.
+def _check_region(region, reach: int = 0) -> None:
+    """Raise unless the region grown by reach up and right is within the caps:
+    its largest coordinate within the coordinate cap, then each side within
+    the region cap. A negative reach is refused (`Region.grown`) in between.
 
     A column's work and its cache's bound grow with the coordinates, so the
-    width and height caps alone do not bound a region far from the origin.
+    side cap alone does not bound a region far from the origin.
     """
-    limit = _scope_cap() or DEFAULT_COORD_CAP
-    if region.extent + reach > limit:
-        raise ResourceLimitError(
-            f"region reaches coordinate {region.extent + reach}, past the coordinate cap {limit}"
-        )
+    top, limit = region.extent + max(reach, 0), _scope_cap(DEFAULT_COORD_CAP)
+    if top > limit:
+        raise ResourceLimitError(f"region reaches coordinate {top}, past the coordinate cap {limit}")
+    grown, limit = region.grown(reach), _scope_cap(DEFAULT_REGION_CAP)
+    if grown.width > limit or grown.height > limit:
+        raise ResourceLimitError(f"region {grown.width}x{grown.height} exceeds the {limit}x{limit} cap")
+
+
+def _check_n(n: int, limit: int) -> None:
+    """Raise when N passes limit, the N cap; N >= 1 is the census's own check."""
+    if n > limit:
+        raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
 
 
 def cmd_visible(args):
@@ -121,10 +137,11 @@ def cmd_density(args):
     from . import census
 
     fam = parse_family(args.poly)
-    cap = _scope_cap()
+    n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
     census.check_prime_bound(args.prime_bound)
-    rows = census.density_rows(fam, args.n, cap=cap)
-    coprime = census.coprimality_count(fam, args.n, cap=cap)
+    _check_n(args.n, n_cap)
+    rows = census.density_rows(fam, args.n)
+    coprime = census.coprimality_count(fam, args.n)
     constant = census.constant_cp(fam, args.prime_bound)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -147,12 +164,12 @@ def cmd_count(args):
     from . import census
 
     fam = parse_family(args.poly)
-    cap = _scope_cap()
+    _check_n(args.n, _scope_cap(DEFAULT_N_CAP))
     if args.mode == "oracle":
-        count = census.brute_count(fam, args.n, cap=cap)
+        count = census.brute_count(fam, args.n)
     else:
         mode = census.PRUNED_MODE if args.mode == "pruned" else census.SUBSET_MODE
-        count = census.exact_count_ie(fam, args.n, mode=mode, cap=cap)
+        count = census.exact_count_ie(fam, args.n, mode=mode)
     return fam.spec, {"n": args.n, "count": count, "mode": args.mode}, 0
 
 
@@ -170,22 +187,21 @@ def cmd_blocks(args):
     from . import geometry
 
     fam = parse_family(args.poly)
-    cap = _scope_cap()
     mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
     region = geometry.Region(1, mx, 1, my)
     if args.all != bool(args.out):
         raise ValueError("--all and --out go together: --all writes its block corners to --out")
-    _check_reach(region)
+    _check_region(region)
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
-        hits = geometry.find_all_blocks(fam, args.size, region, cap=cap)
+        hits = geometry.find_all_blocks(fam, args.size, region)
         geometry.blocks_to_csv(hits, args.out)
         payload["found"] = bool(hits)
         payload["block_count"] = len(hits)
         if hits:
             payload["corner"] = hits[0].to_record()
     else:
-        hit = geometry.find_block(fam, args.size, region, cap=cap)
+        hit = geometry.find_block(fam, args.size, region)
         payload["found"] = hit is not None
         if hit is not None:
             payload["corner"] = hit.to_record()
@@ -197,8 +213,8 @@ def cmd_classify(args):
 
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
-    _check_reach(region)
-    grid = geometry.classify_region(fam, region, cap=_scope_cap())
+    _check_region(region)
+    grid = geometry.classify_region(fam, region)
     if args.out:
         geometry.region_to_csv(grid, region, args.out)
     payload = {
@@ -214,8 +230,8 @@ def cmd_radius(args):
 
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
-    _check_reach(region, max(args.r, 0))
-    got = geometry.find_point_with_radius(fam, region, args.r, cap=_scope_cap())
+    _check_region(region, args.r)
+    got = geometry.find_point_with_radius(fam, region, args.r)
     payload = {
         "found": got is not None,
         "r": args.r,
@@ -240,6 +256,10 @@ def _reproduce_illustration():
 def _reproduce_survey(rows_filter):
     from . import geometry
 
+    last = len(geometry.BLOCK_SURVEY)
+    unknown = sorted(rows_filter - set(range(1, last + 1)))
+    if unknown:
+        raise ValueError(f"no survey row {', '.join(map(str, unknown))}: the survey rows are 1 to {last}")
     region = geometry.Region(1, 1000, 1, 1000)
     items = []
     for idx, (a_coeff, b_coeff), corner in geometry.BLOCK_SURVEY:
@@ -269,10 +289,8 @@ def cmd_reproduce(args):
             raise ValueError("--rows selects survey rows; it applies only to --target table1")
         items = _reproduce_illustration()
     else:
-        rows_filter = None
-        if args.rows:
-            rows_filter = set(_parse_ints(args.rows, "--rows must be a comma list of integers"))
-        items = _reproduce_survey(rows_filter)
+        rows = _parse_ints(args.rows, "--rows must be a comma list of integers") if args.rows else []
+        items = _reproduce_survey(set(rows))
     passed = sum(1 for it in items if it["passed"])
     payload = {
         "target": args.target,
@@ -348,7 +366,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         family, payload, code = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import multiples_mask
-from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily, parse_family
 from .visibility import ProfileCache
 
-DEFAULT_REGION_CAP = 2000  # per dimension
 DEFAULT_MAX_LAYERS = 200
 
 
@@ -51,6 +49,12 @@ class Region:
         """The largest coordinate in the region: the bound of a column cache that reads it."""
         return max(self.max_x, self.max_y)
 
+    def grown(self, r: int) -> Region:
+        """The region grown by r up and right: every point a radius-r search reads."""
+        if r < 0:
+            raise ValueError(f"radius must be >= 0, got {r}")
+        return Region(self.min_x, self.max_x + r, self.min_y, self.max_y + r)
+
 
 @dataclass(frozen=True)
 class BlockHit:
@@ -67,17 +71,8 @@ class RadiusResult:
     distance: int  # -1 when the layer bound is exhausted
 
 
-def _check_cap(region: Region, cap: int | None) -> None:
-    limit = DEFAULT_REGION_CAP if cap is None else cap
-    if region.width > limit or region.height > limit:
-        raise ResourceLimitError(
-            f"region {region.width}x{region.height} exceeds the {limit}x{limit} cap"
-        )
-
-
-def classify_region(family: PolyFamily, region: Region, cap: int | None = None) -> np.ndarray:
+def classify_region(family: PolyFamily, region: Region) -> np.ndarray:
     """Visibility flags for the whole region; grid[i, j] is (min_x+i, min_y+j)."""
-    _check_cap(region, cap)
     cache = ProfileCache(family, region.extent)
     grid = np.empty((region.width, region.height), dtype=bool)
     for i in range(region.width):
@@ -136,15 +131,13 @@ def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x
     return next(_iter_blocks(ProfileCache(family, region.extent), size, region, x_lo, x_hi), None)
 
 
-def find_block(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> BlockHit | None:
+def find_block(family: PolyFamily, size: int, region: Region) -> BlockHit | None:
     """First (x asc, then y asc) corner of an all-invisible size x size block."""
-    _check_cap(region, cap)
     return scan_block_range(family, size, region, region.min_x, region.max_x)
 
 
-def find_all_blocks(family: PolyFamily, size: int, region: Region, cap: int | None = None) -> list[BlockHit]:
+def find_all_blocks(family: PolyFamily, size: int, region: Region) -> list[BlockHit]:
     """Every block corner in the region, in scan order."""
-    _check_cap(region, cap)
     return list(_iter_blocks(ProfileCache(family, region.extent), size, region, region.min_x, region.max_x))
 
 
@@ -183,20 +176,12 @@ def radius_to_visible(
     return RadiusResult(origin, -1)
 
 
-def find_point_with_radius(
-    family: PolyFamily, region: Region, r: int, cap: int | None = None
-) -> LatticePoint | None:
+def find_point_with_radius(family: PolyFamily, region: Region, r: int) -> LatticePoint | None:
     """First point in scan order whose radius_to_visible is exactly r.
 
     For r >= 1 the candidates are the corners of all-invisible r x r blocks.
-    The search reads points up to r beyond the region, so the region grown
-    by r must fit the cap.
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    grown = Region(region.min_x, region.max_x + r, region.min_y, region.max_y + r)
-    _check_cap(grown, cap)
-    cache = ProfileCache(family, grown.extent)
+    cache = ProfileCache(family, region.grown(r).extent)
     if r == 0:
         xs, ys = range(region.min_x, region.max_x + 1), range(region.min_y, region.max_y + 1)
         candidates = (LatticePoint(i, j) for i in xs for j in ys)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arith import factorize, primes_up_to, roots_mod_p, valuation
 from .polyfam import LatticePoint, PolyFamily
@@ -109,8 +109,9 @@ def column_profile(family: PolyFamily, a: int) -> ColumnProfile:
         raise ValueError(f"column index must be >= 1, got {a}")
     pa = family.eval(a)
     pairs = tuple((t, pa // gcd(pa, family.eval(t))) for t in range(1, a))
-    minimal = _minimal_by_divisibility({m for _, m in pairs})
-    return ColumnProfile(a, pairs, minimal, ProfileCache(family, a).prime_set(a))
+    moduli = {m for _, m in pairs}
+    primes = tuple(p for p, _ in factorize(lcm(*moduli)))
+    return ColumnProfile(a, pairs, _minimal_by_divisibility(moduli), primes)
 
 
 def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
@@ -275,14 +276,13 @@ class ProfileCache:
         """
         return self.value(a) // gcd(*map(self.value, range(1, min(a, self.family.degree) + 1)))
 
-    def prime_set(self, a: int, bound: int | None = None) -> tuple[int, ...]:
-        """Primes dividing L_P(a), ascending; only those <= bound when bound is given.
+    def prime_set(self, a: int) -> tuple[int, ...]:
+        """Primes <= bound dividing L_P(a), ascending.
 
-        With a bound only gcd(L_P(a), primorial(bound)) is factorized. It is
-        squarefree with every prime <= bound, so trial division splits it.
+        Only gcd(L_P(a), primorial(bound)) is factorized. It is squarefree
+        with every prime <= bound, so trial division splits it.
         """
-        n = self.lcm(a) if bound is None else gcd(self.lcm(a), _primorial(bound))
-        return tuple(p for p, _ in factorize(n))
+        return tuple(p for p, _ in factorize(gcd(self.lcm(a), _primorial(self.bound))))
 
     def is_visible(self, a: int, b: int) -> bool:
         """Same verdict as module-level is_visible, via the minimal modulus set; b <= bound."""

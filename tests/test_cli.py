@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import polyvis
-from polyvis import census, find_all_blocks, geometry, parse_family
+from polyvis import census, cli, find_all_blocks, geometry, parse_family
 from polyvis.cli import main
 from polyvis.geometry import Region
 
@@ -204,6 +204,24 @@ def test_classify(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 26
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--poly", "1", "--n", "5"),
+        ("classify", "--poly", "1", "--region", "1,5,1,5"),
+        ("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all"),
+    ],
+)
+def test_unwritable_out_is_bad_input(capsys, tmp_path, argv):
+    missing = tmp_path / "missing" / "x.csv"
+    code, env, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert code == 2 and env is None
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    code, env, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and env is None
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_radius(capsys):
     code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1")
     assert code == 0
@@ -239,6 +257,14 @@ def test_reproduce_survey_rows_that_hold(capsys):
     code, env, _ = run_cli(capsys, "reproduce", "--target", "table1", "--rows", "7,13,14")
     assert code == 0
     assert env["payload"]["passed"] == env["payload"]["total"] == 3
+
+
+@pytest.mark.parametrize("rows, named", [("99", "99"), ("7,99", "99"), ("0,7,16", "0, 16")])
+def test_reproduce_survey_rows_that_name_no_row(capsys, monkeypatch, rows, named):
+    monkeypatch.setattr(geometry, "find_block", lambda *a: pytest.fail("the survey ran"))
+    code, env, err = run_cli(capsys, "reproduce", "--target", "table1", "--rows", rows)
+    assert code == 2 and env is None
+    assert err == f"error: no survey row {named}: the survey rows are 1 to 15\n"
 
 
 def test_reproduce_survey_full(capsys):
@@ -318,6 +344,119 @@ def test_region_at_the_coordinate_cap(capsys):
     assert code == 0 and env["payload"]["visible_count"] == 3  # (100000, 2) shares the factor 2
     code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", "99990,99995,1,2", "--r", "5")
     assert code == 0 and env["payload"]["found"] is False
+
+
+def _forbid_work(monkeypatch):
+    """Make every census and geometry entry point, and the query work, fail the test."""
+    def fail(*args, **kwargs):
+        pytest.fail("work started before the cap check")
+
+    for module, names in (
+        (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie")),
+        (geometry, ("classify_region", "find_block", "find_all_blocks", "find_point_with_radius")),
+        (cli, ("is_visible", "construct_visible", "construct_multi_prime")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
+
+
+def _coord_message(reach):
+    return f"region reaches coordinate {reach}, past the coordinate cap 40"
+
+
+# One row per scope cap: a command at the cap under LATTICE_SCOPE_CAP=40, then
+# one past the default cap and one past 40, each with its message. A region
+# side never exceeds the region's largest coordinate, so under one
+# LATTICE_SCOPE_CAP a side one past the cap meets the coordinate cap first.
+SCOPE_CAPS = [
+    pytest.param(
+        "density --poly 1 --n 40",
+        "density --poly 1 --n 10001", "N=10001 exceeds the configured cap 10000",
+        "density --poly 1 --n 41", "N=41 exceeds the configured cap 40",
+        id="density N",
+    ),
+    pytest.param(
+        "count --poly 1 --n 40",
+        "count --poly 1 --n 10001", "N=10001 exceeds the configured cap 10000",
+        "count --poly 1 --n 41 --mode oracle", "N=41 exceeds the configured cap 40",
+        id="count N",
+    ),
+    pytest.param(
+        "classify --poly 1 --region 1,40,1,40",
+        "classify --poly 1 --region 1,2001,1,2", "region 2001x2 exceeds the 2000x2000 cap",
+        "classify --poly 1 --region 2,41,1,2", _coord_message(41),
+        id="classify side",
+    ),
+    pytest.param(
+        "blocks --poly 1 --size 2 --max 40,40",
+        "blocks --poly 1 --size 2 --max 5,2001", "region 5x2001 exceeds the 2000x2000 cap",
+        "blocks --poly 1 --size 2 --max 41,5", _coord_message(41),
+        id="blocks side",
+    ),
+    pytest.param(
+        "radius --poly 1 --region 1,39,1,39 --r 1",
+        "radius --poly 1 --region 2,10,2,10 --r 1992", "region 2001x2001 exceeds the 2000x2000 cap",
+        "radius --poly 1 --region 1,39,1,39 --r 2", _coord_message(41),
+        id="radius grown side",
+    ),
+    pytest.param(
+        "classify --poly 1 --region 39,40,1,2",
+        "classify --poly 1 --region 100000,100001,1,2",
+        "region reaches coordinate 100001, past the coordinate cap 100000",
+        "classify --poly 1 --region 40,41,1,2", _coord_message(41),
+        id="region coordinate",
+    ),
+    pytest.param(
+        "visible --poly 1 --point 40,40",
+        "visible --poly 1 --point 100001,5", "point 100001,5 exceeds the coordinate cap 100000",
+        "construct --point 3,41", "point 3,41 exceeds the coordinate cap 40",
+        id="point coordinate",
+    ),
+]
+
+
+@pytest.mark.parametrize("at_cap, past_default, default_message, past_40, message_40", SCOPE_CAPS)
+def test_scope_caps(capsys, monkeypatch, at_cap, past_default, default_message, past_40, message_40):
+    """The command line checks each scope cap before any census or geometry call."""
+    monkeypatch.setenv("LATTICE_SCOPE_CAP", "40")
+    code, env, err = run_cli(capsys, *at_cap.split())
+    assert code == 0 and err == ""
+    _forbid_work(monkeypatch)
+    for scope_cap, argv, message in ((None, past_default, default_message), ("40", past_40, message_40)):
+        if scope_cap is None:
+            monkeypatch.delenv("LATTICE_SCOPE_CAP")
+        else:
+            monkeypatch.setenv("LATTICE_SCOPE_CAP", scope_cap)
+        code, env, err = run_cli(capsys, *argv.split())
+        assert code == 3 and env is None
+        assert err == f"error: {message}\n"
+
+
+def test_radius_counts_its_region_grown_by_r(capsys, monkeypatch):
+    """The radius search reads points up to r beyond its region."""
+    monkeypatch.setenv("LATTICE_SCOPE_CAP", "10")
+    for region, r, point in (("1,10,1,10", "0", {"x": 1, "y": 1}), ("1,9,1,9", "1", {"x": 2, "y": 2})):
+        code, env, _ = run_cli(capsys, "radius", "--poly", "1", "--region", region, "--r", r)
+        assert code == 0 and env["payload"]["point"] == point
+    for region, r, reach in (("1,10,1,10", "1", 11), ("1,11,1,11", "1", 12)):
+        code, env, err = run_cli(capsys, "radius", "--poly", "1", "--region", region, "--r", r)
+        assert code == 3 and err == f"error: region reaches coordinate {reach}, past the coordinate cap 10\n"
+
+
+@pytest.mark.parametrize(
+    "scope_cap, argv, message",
+    [
+        (None, "radius --poly 1 --region 1,3000,1,5 --r -1", "radius must be >= 0, got -1"),
+        ("lots", "density --poly 1 --n 5 --prime-bound 1000000000000", "LATTICE_SCOPE_CAP='lots' is not an integer"),
+    ],
+)
+def test_two_faults_report_the_first(capsys, monkeypatch, scope_cap, argv, message):
+    """A bad input checked before a cap is reported first: the exit code is 2, not 3."""
+    if scope_cap is not None:
+        monkeypatch.setenv("LATTICE_SCOPE_CAP", scope_cap)
+    code, env, err = run_cli(capsys, *argv.split())
+    assert code == 2 and env is None
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("scope_cap", [None, "100", "10000000000000"])

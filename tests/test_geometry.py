@@ -322,21 +322,7 @@ def test_find_point_with_radius():
         find_point_with_radius(X, square(5), -1)
 
 
-def test_caps():
-    with pytest.raises(ResourceLimitError):
-        classify_region(X, square(2001))
-    with pytest.raises(ResourceLimitError):
-        find_block(X, 2, square(11), cap=10)
-    with pytest.raises(ResourceLimitError):
-        find_point_with_radius(X, square(11), 1, cap=10)
-    # The radius search reads points up to r beyond the region, so the
-    # region grown by r must fit the cap.
-    assert find_point_with_radius(X, square(10), 0, cap=10) == LatticePoint(1, 1)
-    assert find_point_with_radius(X, square(9), 1, cap=10) == LatticePoint(2, 2)
-    with pytest.raises(ResourceLimitError):
-        find_point_with_radius(X, square(10), 1, cap=10)
-    with pytest.raises(ResourceLimitError):
-        find_point_with_radius(X, Region(2, 10, 2, 10), 1992)
+def test_domain_checks():
     with pytest.raises(ValueError):
         find_block(X, 0, square(5))
     with pytest.raises(ValueError):

@@ -152,21 +152,21 @@ def test_prime_set_within_prime_support(family):
 @given(
     coeffs=st.lists(st.integers(0, 4), min_size=1, max_size=DEGREE_CAP),
     a=st.integers(1, 40),
-    bound=st.integers(0, 60),
+    bound=st.integers(1, 60),
     b=st.integers(1, 10**6),
 )
 @example(coeffs=[3, 1, 0], a=6, bound=2, b=2)  # prefix gcd 4, 4, 2: it drops at t = 3 = deg
 def test_prime_set_is_prime_support_of_modulus_lcm(coeffs, a, bound, b):
-    """ProfileCache.lcm(a) is lcm(m_{a,t}), taken from modulus(); prime_set(a)
-    lists its primes, prime_set(a, bound) those <= bound, and lcm_criterion
-    is coprimality with it."""
+    """ProfileCache.lcm(a) is lcm(m_{a,t}), taken from modulus(); column_profile
+    lists its primes, ProfileCache(family, bound).prime_set(a) those <= bound,
+    and lcm_criterion is coprimality with it."""
     family = parse_family(",".join(map(str, [coeffs[0] or 1, *coeffs[1:]])))
     lcm_all = lcm_many(modulus(family, a, t) for t in range(1, a))
     primes = tuple(p for p, _ in factorize(lcm_all))
-    cache = ProfileCache(family, a)
+    cache = ProfileCache(family, bound)
     assert cache.lcm(a) == lcm_all
-    assert cache.prime_set(a) == primes
-    assert cache.prime_set(a, bound) == tuple(p for p in primes if p <= bound)
+    assert column_profile(family, a).lcm_prime_set == primes
+    assert cache.prime_set(a) == tuple(p for p in primes if p <= bound)
     assert lcm_criterion(family, LatticePoint(a, b)) == (math.gcd(lcm_all, b) == 1)
 
 
@@ -193,12 +193,15 @@ def test_profile_cache_consistent_and_idempotent(family):
     for a in (1, 2, 9, 40):
         # Expectations come from the full modulus list alone: the minimal set
         # is its divisibility-minimal elements up to the bound, and since
-        # d_t = m_{a,t} the lcm prime set is the prime support of lcm(m_{a,t}).
-        mods = {m for _, m in column_profile(family, a).moduli}
+        # d_t = m_{a,t} the lcm prime set is the prime support of lcm(m_{a,t}),
+        # cut to the bound in the cache.
+        prof = column_profile(family, a)
+        mods = {m for _, m in prof.moduli}
         minimal = tuple(sorted(m for m in mods if m <= 500 and not any(m != k and m % k == 0 for k in mods)))
         primes = tuple(sorted({p for m in mods for p, _ in factorize(m)}))
         assert cache.minimal_moduli(a) == minimal
-        assert cache.prime_set(a) == primes
+        assert prof.lcm_prime_set == primes
+        assert cache.prime_set(a) == tuple(p for p in primes if p <= 500)
         assert cache.minimal_moduli(a) is cache.minimal_moduli(a)
         assert cache.value(a) == family.eval(a)
     rng = random.Random(99)
@@ -263,7 +266,7 @@ def _points(draw, family):
     a = draw(st.integers(1, 150))
     b = draw(st.integers(1, 10**4))
     how = draw(st.sampled_from(("free", "modulus", "lcm prime")))
-    primes = ProfileCache(family, a).prime_set(a, 50)
+    primes = ProfileCache(family, 50).prime_set(a)
     if how == "modulus" and a > 1:
         b *= modulus(family, a, draw(st.integers(1, a - 1)))
     elif how == "lcm prime" and primes:
