@@ -6,8 +6,9 @@ counts and estimates densities of visible points, constructs curves that
 make a chosen point visible, and maps invisible blocks and visibility
 radii over regions.
 
-The census and geometry names load on first use (PEP 562), because those
-modules sieve with numpy and `visible` and `construct` need neither.
+The census and geometry names load on first use (PEP 562), to keep start-up
+cheap. numpy loads only for the sieves: geometry, and the census's
+`multiples_mask` and `density_rows`.
 """
 
 import importlib

@@ -1,12 +1,13 @@
 """Counting visible points and the density constants attached to a family.
 
 Counts are exact integers; densities are formed by one float division at
-the end. The workhorse is a per-column sieve: column a is invisible exactly
-at multiples of its minimal moduli, so one strided fill per modulus
-(`multiples_mask`) gives the whole [1,N]^2 census in O(N^2 / m) writes.
+the end. Column a is invisible exactly at multiples of its minimal moduli,
+so the count is the paper's exact double sum over them (`exact_count_ie`).
+The per-N prefix rows sieve, one strided numpy fill per modulus
+(`multiples_mask`): only the two sieves import numpy.
 
-Every count over [1,N]^2 reads its columns from one ProfileCache(family, N):
-a modulus above N marks no b <= N, so only the moduli <= N are found.
+Every count over [1,N]^2 reads its columns from a ProfileCache(family, N),
+which callers may share: a modulus above N marks no b <= N.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-
-import numpy as np
 
 from .arith import count_roots_mod_p, factorize, primes_up_to
 from .errors import ResourceLimitError
@@ -32,13 +31,14 @@ _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
 _ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
 
 
-def multiples_mask(mods, lo: int, hi: int) -> np.ndarray:
+def multiples_mask(mods, lo: int, hi: int) -> "np.ndarray":
     """Boolean array over b in [lo, hi]: True where some modulus in mods divides b.
 
     The column sieve: with a column's minimal moduli it marks the invisible
-    points of that column, with its lcm prime set the points failing the
-    lcm certificate.
+    points of that column.
     """
+    import numpy as np
+
     mask = np.zeros(hi - lo + 1, dtype=bool)
     for m in mods:
         start = -(-lo // m) * m
@@ -76,15 +76,18 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
-def density_rows(family: PolyFamily, n: int) -> list[tuple[int, int, float]]:
+def density_rows(family: PolyFamily, n: int, cache: ProfileCache | None = None) -> list[tuple[int, int, float]]:
     """(N', visible_count, density) for every prefix square N' = 1..n.
 
     One pass: when column a arrives, its contribution to future rows is
     accumulated into a per-b histogram, so row a only needs the histogram
     value at b = a (columns < a) plus its own column count up to b = a.
+    cache, when given, is a ProfileCache(family, n) shared with other counts.
     """
+    import numpy as np
+
     _check_n(n)
-    cache = ProfileCache(family, n)
+    cache = cache or ProfileCache(family, n)
     row_bad = np.zeros(n, dtype=np.int64)  # row_bad[b - 1]: invisible (a', b) so far
     out = []
     total = 0
@@ -144,14 +147,14 @@ def _ie_pruned(mods: list[int], n: int) -> int:
     return total
 
 
-def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE) -> int:
+def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE, cache: ProfileCache | None = None) -> int:
     """Visible-pair count over [1,N]^2 by per-column inclusion-exclusion.
 
     Column a contributes sum over subsets J of its moduli of
     (-1)^|J| * floor(N / lcm J). Modes: "subset-enumeration" runs the sum
     literally over all 2^(a-1) subsets (capped at a <= 26); "pruned-lcm"
     dedupes moduli to the divisibility-minimal set and abandons branches
-    whose lcm passes N. The two agree everywhere.
+    whose lcm passes N. The two agree everywhere. cache is as in density_rows.
     """
     _check_n(n)
     if mode not in (SUBSET_MODE, PRUNED_MODE):
@@ -160,14 +163,10 @@ def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE) -> int:
         raise ResourceLimitError(
             f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}"
         )
-    cache = ProfileCache(family, n)
-    total = 0
-    for a in range(1, n + 1):
-        if mode == SUBSET_MODE:
-            total += _ie_subsets([modulus(family, a, t) for t in range(1, a)], n)
-        else:
-            total += _ie_pruned(cache.minimal_moduli(a), n)
-    return total
+    if mode == SUBSET_MODE:
+        return sum(_ie_subsets([modulus(family, a, t) for t in range(1, a)], n) for a in range(1, n + 1))
+    cache = cache or ProfileCache(family, n)
+    return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
 
 
 def rho(family: PolyFamily, p: int) -> int:
@@ -228,16 +227,14 @@ def constant_cpq_star(p: int, q: int, prime_bound: int) -> ConstantResult:
     return ConstantResult(value, prime_bound, 2.0 / (prime_bound - 1))
 
 
-def coprimality_count(family: PolyFamily, n: int) -> int:
+def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = None) -> int:
     """Pairs in [1,N]^2 with b coprime to L_P(a), the lcm of column a's moduli.
 
     A subset of the visible pairs: the lcm certificate is sufficient for
-    visibility, not necessary. Primes above N mark no b <= N, so each column
-    sieves only the primes <= N of L_P(a) (`ProfileCache.prime_set`).
+    visibility, not necessary. Primes above N mark no b <= N, so column a
+    takes the pruned sum of exact_count_ie over the primes <= N of L_P(a)
+    (`ProfileCache.prime_set`). cache is as in density_rows.
     """
     _check_n(n)
-    cache = ProfileCache(family, n)
-    return sum(
-        n - int(np.count_nonzero(multiples_mask(cache.prime_set(a), 1, n)))
-        for a in range(1, n + 1)
-    )
+    cache = cache or ProfileCache(family, n)
+    return sum(_ie_pruned(cache.prime_set(a), n) for a in range(1, n + 1))

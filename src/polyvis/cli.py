@@ -26,12 +26,11 @@ alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 64 bits, at most 4 of them for --multi. blocks --out without --all, and
 --rows with --target illustration or naming no survey row, are bad input.
 
-Each command pays only for its own work. `visible`, `construct` and
-`reproduce --target illustration` run on integer and Fraction arithmetic
-and never import numpy; the commands that sieve (density, count, blocks,
-classify, radius, reproduce --target table1) import `census` or `geometry`
-when they run. `visible` tries the lcm certificate before the O(a) column
-scan.
+Each command pays only for its own work. Only the commands that sieve
+load numpy: density with --out (its per-N rows), blocks, classify, radius
+and reproduce --target table1. density counts by the paper's exact double
+sum over one ProfileCache. `visible` tries the lcm certificate before the
+O(a) column scan. --out is opened before any work, after the input checks.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from fractions import Fraction
 from .construct import construct_multi_prime, construct_visible
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
-from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
+from .visibility import ProfileCache, gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 _COUNT_MODES = ("oracle", "pruned", "subsets")
 DEFAULT_N_CAP = 10_000
@@ -115,7 +114,9 @@ def _check_region(region, reach: int = 0) -> None:
 
 
 def _check_n(n: int, limit: int) -> None:
-    """Raise when N passes limit, the N cap; N >= 1 is the census's own check."""
+    """Raise unless 1 <= N <= limit, the N cap."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
     if n > limit:
         raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
 
@@ -140,19 +141,22 @@ def cmd_density(args):
     n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
     census.check_prime_bound(args.prime_bound)
     _check_n(args.n, n_cap)
-    rows = census.density_rows(fam, args.n)
-    coprime = census.coprimality_count(fam, args.n)
-    constant = census.constant_cp(fam, args.prime_bound)
+    cache = ProfileCache(fam, args.n)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:  # opened first: an unwritable path fails at once
+            rows = census.density_rows(fam, args.n, cache)
             w = csv.writer(fh)
             w.writerow(["N", "visible_count", "density"])
             w.writerows(rows)
-    _, visible_count, density = rows[-1]
+        visible_count = rows[-1][1]
+    else:
+        visible_count = census.exact_count_ie(fam, args.n, cache=cache)
+    coprime = census.coprimality_count(fam, args.n, cache)
+    constant = census.constant_cp(fam, args.prime_bound)
     payload = {
         "n": args.n,
         "visible_count": visible_count,
-        "density": density,
+        "density": visible_count / (args.n * args.n),
         "coprimality_count": coprime,
         "c_p_constant": constant.value,
         "tail_bound": constant.tail_bound,
@@ -192,6 +196,8 @@ def cmd_blocks(args):
     if args.all != bool(args.out):
         raise ValueError("--all and --out go together: --all writes its block corners to --out")
     _check_region(region)
+    if args.out:
+        open(args.out, "a").close()  # an unwritable path fails before the scan
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
         hits = geometry.find_all_blocks(fam, args.size, region)
@@ -214,6 +220,8 @@ def cmd_classify(args):
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
     _check_region(region)
+    if args.out:
+        open(args.out, "a").close()  # an unwritable path fails before the grid
     grid = geometry.classify_region(fam, region)
     if args.out:
         geometry.region_to_csv(grid, region, args.out)

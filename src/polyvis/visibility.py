@@ -161,6 +161,7 @@ class ProfileCache:
         self.bound = bound
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
+        self._primes: dict[int, list[int]] = {}
         self._root_classes: dict[tuple[int, int], tuple[float, list[tuple[int, int]]]] = {}
 
     def value(self, x: int) -> int:
@@ -191,13 +192,19 @@ class ProfileCache:
         if a <= _SCAN_TO:
             candidates = range(1, a)
         else:
-            powers = [(p, valuation(p, pa)) for p, _ in factorize(gcd(pa, _primorial(self.bound)))]
+            powers = [(p, valuation(p, pa)) for p in self._smooth_primes(a)]
             rough = pa // prod(p**e for p, e in powers)
             if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
                 return ()
             candidates = self._candidates(a, powers)
         mods = {pa // gcd(pa, self.value(t)) for t in candidates}
         return _minimal_by_divisibility({m for m in mods if m <= self.bound})
+
+    def _smooth_primes(self, a: int) -> list[int]:
+        """The primes <= bound dividing P(a), ascending; one factorize per column."""
+        if a not in self._primes:
+            self._primes[a] = [p for p, _ in factorize(gcd(self.value(a), _primorial(self.bound)))]
+        return self._primes[a]
 
     def _candidates(self, a: int, powers: list[tuple[int, int]]) -> set[int]:
         """t < a holding a witness of every modulus <= bound of column a; powers are
@@ -279,10 +286,11 @@ class ProfileCache:
     def prime_set(self, a: int) -> tuple[int, ...]:
         """Primes <= bound dividing L_P(a), ascending.
 
-        Only gcd(L_P(a), primorial(bound)) is factorized. It is squarefree
-        with every prime <= bound, so trial division splits it.
+        L_P(a) divides P(a), so they are among the _smooth_primes(a), which
+        past column _SCAN_TO the moduli search has factorized already.
         """
-        return tuple(p for p, _ in factorize(gcd(self.lcm(a), _primorial(self.bound))))
+        la = self.lcm(a)
+        return tuple(p for p in self._smooth_primes(a) if la % p == 0)
 
     def is_visible(self, a: int, b: int) -> bool:
         """Same verdict as module-level is_visible, via the minimal modulus set; b <= bound."""

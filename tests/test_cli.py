@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, find_all_blocks, geometry, parse_family
+from polyvis import census, cli, find_all_blocks, geometry, modulus, parse_family, visibility
+from polyvis.arith import factorize
 from polyvis.cli import main
 from polyvis.geometry import Region
 
@@ -75,6 +80,44 @@ def test_density(capsys, tmp_path):
     assert len(rows) == 1001
     assert rows[1] == ["1", "1", "1.0"]
     assert rows[-1] == ["1000", "608383", "0.608383"]
+
+
+def _density_payload(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["density", *argv]) == 0
+    return json.loads(buf.getvalue())["payload"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(0, 3), max_size=3), st.integers(1, 40))
+def test_density_counts_by_double_sum(lead, rest, n):
+    """density without --out counts by the double sum over the column moduli and
+    the lcm primes; it reports what the --out sieve reports, and its lcm count
+    matches the certificate taken literally from modulus()."""
+    family = parse_family(",".join(map(str, [lead, *rest])))
+    argv = ("--poly", family.spec, "--n", str(n), "--prime-bound", "100")
+    payload = _density_payload(*argv)
+    assert payload == _density_payload(*argv, "--out", os.devnull)
+    assert payload["visible_count"] == census.density_rows(family, n)[-1][1]
+    lcms = [math.lcm(*(modulus(family, a, t) for t in range(1, a))) for a in range(1, n + 1)]
+    assert payload["coprimality_count"] == sum(math.gcd(l, b) == 1 for l in lcms for b in range(1, n + 1))
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_density_factorizes_each_column_once(monkeypatch, out):
+    """prime_set reads the factorization the moduli search made: at most one
+    factorize per column, where columns past 128 used to take two."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return factorize(m)
+
+    monkeypatch.setattr(visibility, "factorize", spy)
+    n = 400
+    _density_payload("--poly", "1,1", "--n", str(n), *(("--out", os.devnull) if out else ()))
+    assert 0 < len(calls) <= n
 
 
 def test_count_modes_agree(capsys):
@@ -212,7 +255,9 @@ def test_classify(capsys, tmp_path):
         ("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all"),
     ],
 )
-def test_unwritable_out_is_bad_input(capsys, tmp_path, argv):
+def test_unwritable_out_is_bad_input(capsys, monkeypatch, tmp_path, argv):
+    """--out is opened before any census or geometry call, so a bad path fails at once."""
+    _forbid_work(monkeypatch)
     missing = tmp_path / "missing" / "x.csv"
     code, env, err = run_cli(capsys, *argv, "--out", str(missing))
     assert code == 2 and env is None
@@ -570,12 +615,15 @@ print("numpy" in sys.modules)
         (("visible", "--poly", "1,1", "--point", "13,195"), False),
         (("construct", "--point", "3,5", "--multi", "7,11"), False),
         (("reproduce", "--target", "illustration"), False),
-        (("density", "--poly", "1", "--n", "10"), True),
+        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), True),
+        (("density", "--poly", "1", "--n", "10"), False),
+        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), False),
+        (("classify", "--poly", "1", "--region", "1,5,1,5"), True),
     ],
 )
 def test_only_sieving_commands_load_numpy(argv, loads_numpy):
-    """Start-up guard: importing polyvis.cli and running the query commands in
-    a fresh interpreter leaves numpy unloaded; the census commands load it."""
+    """Start-up guard: importing polyvis.cli and running the query and counting
+    commands in a fresh interpreter leaves numpy unloaded; the sieves load it."""
     src = str(Path(polyvis.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
