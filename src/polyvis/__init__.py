@@ -7,8 +7,7 @@ make a chosen point visible, and maps invisible blocks and visibility
 radii over regions.
 
 The census and geometry names load on first use (PEP 562), to keep start-up
-cheap. numpy loads only for the sieves: geometry, and the census's
-`multiples_mask` and `density_rows`.
+cheap.
 """
 
 import importlib

@@ -3,8 +3,8 @@
 Counts are exact integers; densities are formed by one float division at
 the end. Column a is invisible exactly at multiples of its minimal moduli,
 so the count is the paper's exact double sum over them (`exact_count_ie`).
-The per-N prefix rows sieve, one strided numpy fill per modulus
-(`multiples_mask`): only the two sieves import numpy.
+The per-N prefix rows sieve, one strided slice fill per modulus
+(`multiples_mask`).
 
 Every count over [1,N]^2 reads its columns from a ProfileCache(family, N),
 which callers may share: a modulus above N marks no b <= N.
@@ -31,19 +31,19 @@ _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
 _ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
 
 
-def multiples_mask(mods, lo: int, hi: int) -> "np.ndarray":
-    """Boolean array over b in [lo, hi]: True where some modulus in mods divides b.
+def multiples_mask(mods, lo: int, hi: int, width: int = 1) -> bytearray:
+    """width bytes per b in [lo, hi]: b's first byte is 1 where some modulus
+    in mods divides b, and every other byte is 0.
 
     The column sieve: with a column's minimal moduli it marks the invisible
-    points of that column.
+    points of that column. Read little-endian, a mask of width w > 1 is one
+    w-byte counter per b (`density_rows`).
     """
-    import numpy as np
-
-    mask = np.zeros(hi - lo + 1, dtype=bool)
+    mask = bytearray((hi - lo + 1) * width)
     for m in mods:
         start = -(-lo // m) * m
         if start <= hi:
-            mask[start - lo :: m] = True
+            mask[(start - lo) * width :: m * width] = b"\1" * ((hi - start) // m + 1)
     return mask
 
 
@@ -82,22 +82,23 @@ def density_rows(family: PolyFamily, n: int, cache: ProfileCache | None = None) 
     One pass: when column a arrives, its contribution to future rows is
     accumulated into a per-b histogram, so row a only needs the histogram
     value at b = a (columns < a) plus its own column count up to b = a.
+    The histogram is one int of w-byte counters, lowest b first; no counter
+    exceeds n - 1 < 2^(8w), so adding a column's mask never carries.
     cache, when given, is a ProfileCache(family, n) shared with other counts.
     """
-    import numpy as np
-
     _check_n(n)
     cache = cache or ProfileCache(family, n)
-    row_bad = np.zeros(n, dtype=np.int64)  # row_bad[b - 1]: invisible (a', b) so far
+    w = (n.bit_length() + 7) // 8
+    row_bad = 0  # counter j: invisible (a', a + j) with a' < a
     out = []
     total = 0
     for a in range(1, n + 1):
-        col = multiples_mask(cache.minimal_moduli(a), 1, n)
-        col_vis = a - int(np.count_nonzero(col[:a]))
-        row_vis = (a - 1) - int(row_bad[a - 1])
+        mods = cache.minimal_moduli(a)
+        col_vis = a - multiples_mask(mods, 1, a).count(1)
+        row_vis = (a - 1) - (row_bad & ((1 << 8 * w) - 1))
         total += col_vis + row_vis
         out.append((a, total, total / (a * a)))
-        row_bad += col
+        row_bad = (row_bad >> 8 * w) + int.from_bytes(multiples_mask(mods, a + 1, n, w), "little")
     return out
 
 

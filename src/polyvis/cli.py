@@ -19,18 +19,19 @@ N <= 10000 (density, count); regions <= 2000 per side (blocks, classify,
 and radius, which counts its region grown by r); coordinates of --point
 (visible, construct) and of region corners (blocks --max, classify,
 radius grown by r) <= 100000. LATTICE_SCOPE_CAP, a positive integer,
-overrides all of them. Library functions take no cap, so a library
-caller bounds its own work. Fixed caps, kept in the library and left
-alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
+overrides all of them with one value, so under it the side cap never
+binds before the coordinate cap: a side is at most the region's largest
+coordinate, which is checked first. Library functions take no cap, so a
+library caller bounds its own work. Fixed caps, kept in the library and
+left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 --mode oracle N <= 100 (subsets N <= 26); construct primes of at most
 64 bits, at most 4 of them for --multi. blocks --out without --all, and
 --rows with --target illustration or naming no survey row, are bad input.
 
-Each command pays only for its own work. Only the commands that sieve
-load numpy: density with --out (its per-N rows), blocks, classify, radius
-and reproduce --target table1. density counts by the paper's exact double
-sum over one ProfileCache. `visible` tries the lcm certificate before the
-O(a) column scan. --out is opened before any work, after the input checks.
+Each command pays only for its own work. density counts by the paper's
+exact double sum over one ProfileCache. `visible` tries the lcm
+certificate before the O(a) column scan. --out is opened before any
+work, after the input checks.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ def cmd_classify(args):
         geometry.region_to_csv(grid, region, args.out)
     payload = {
         "region": [region.min_x, region.max_x, region.min_y, region.max_y],
-        "visible_count": int(grid.sum()),
-        "total": int(grid.size),
+        "visible_count": sum(col.count(1) for col in grid),
+        "total": region.width * region.height,
     }
     return fam.spec, payload, 0
 

@@ -11,10 +11,11 @@ everywhere: x ascending outer, y ascending inner.
 from __future__ import annotations
 
 import csv
+import operator
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import compress
 
 from .census import multiples_mask
 from .polyfam import LatticePoint, PolyFamily, parse_family
@@ -71,55 +72,53 @@ class RadiusResult:
     distance: int  # -1 when the layer bound is exhausted
 
 
-def classify_region(family: PolyFamily, region: Region) -> np.ndarray:
-    """Visibility flags for the whole region; grid[i, j] is (min_x+i, min_y+j)."""
+def classify_region(family: PolyFamily, region: Region) -> list[bytes]:
+    """Visibility flags (0/1), one bytes per column: grid[i][j] is (min_x+i, min_y+j)."""
     cache = ProfileCache(family, region.extent)
-    grid = np.empty((region.width, region.height), dtype=bool)
-    for i in range(region.width):
-        grid[i] = ~multiples_mask(cache.minimal_moduli(region.min_x + i), region.min_y, region.max_y)
-    return grid
+    flip = bytes.maketrans(b"\0\1", b"\1\0")  # the sieve marks the invisible points
+    return [
+        bytes(multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y)).translate(flip)
+        for a in range(region.min_x, region.max_x + 1)
+    ]
 
 
-def region_to_csv(grid: np.ndarray, region: Region, path) -> None:
+def region_to_csv(grid: list[bytes], region: Region, path) -> None:
     """x,y,visible rows (0/1), row-major by x then y, in csv.writer's dialect.
 
     Each column is written as one string: the x field joined over the
     precomputed ",y,flag" row tails, so no per-row writer call is made and
     no more than one column is ever held as text.
     """
-    ys = range(region.min_y, region.max_y + 1)
-    tails = np.array([[f",{y},{v}\r\n" for y in ys] for v in (0, 1)], dtype=object)
+    tails = [(f",{y},0\r\n", f",{y},1\r\n") for y in range(region.min_y, region.max_y + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("x,y,visible\r\n")
         for i, col in enumerate(grid):
             x = str(region.min_x + i)
-            fh.write(x + x.join(np.where(col, tails[1], tails[0]).tolist()))
+            fh.write(x + x.join(map(operator.getitem, tails, col)))
 
 
-def _iter_blocks(cache: ProfileCache, size: int, region: Region, x_lo: int, x_hi: int):
-    """Every all-invisible size x size block with corner x in [x_lo, x_hi], in scan order.
+def _iter_blocks(cache: ProfileCache, size: int, region: Region):
+    """Every all-invisible size x size block in the region, in scan order.
 
     A sliding window holds the size columns under the current corner x, so
-    each column is sieved once however many corners it belongs to.
+    each column is sieved once however many corners it belongs to. Column
+    masks are ints, bit 8j for row min_y + j: the AND of the window, ANDed
+    with its copies shifted down by 1 .. size-1 rows, keeps the corner rows.
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    lo = max(x_lo, region.min_x)
-    hi = min(x_hi, region.max_x - size + 1)
-    span = region.height
-    if span < size or lo > hi:
-        return
-    window: deque[np.ndarray] = deque(maxlen=size)
-    for a in range(lo, hi + size):
-        window.append(multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y))
+    window: deque[int] = deque(maxlen=size)
+    for a in range(region.min_x, region.max_x + 1):
+        mask = multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y)
+        window.append(int.from_bytes(mask, "little"))
         if len(window) < size:
             continue
-        rows = np.logical_and.reduce(window)
-        if not rows.any():
+        rows = reduce(operator.and_, window)
+        run = reduce(operator.and_, (rows >> 8 * dy for dy in range(1, size)), rows)
+        if not run:
             continue
-        run = np.logical_and.reduce([rows[dy : span - size + 1 + dy] for dy in range(size)])
-        for idx in np.flatnonzero(run):
-            yield BlockHit(LatticePoint(a - size + 1, region.min_y + int(idx)), size)
+        for y in compress(range(region.min_y, region.max_y + 1), run.to_bytes(region.height, "little")):
+            yield BlockHit(LatticePoint(a - size + 1, y), size)
 
 
 def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x_hi: int) -> BlockHit | None:
@@ -128,17 +127,18 @@ def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x
     Running it over the full corner range is exactly find_block; over split
     ranges, the minimum (x, y) of the partial results is the same answer.
     """
-    return next(_iter_blocks(ProfileCache(family, region.extent), size, region, x_lo, x_hi), None)
+    lo, hi = max(x_lo, region.min_x), min(x_hi + size - 1, region.max_x)
+    return find_block(family, size, Region(lo, hi, region.min_y, region.max_y)) if lo <= hi else None
 
 
 def find_block(family: PolyFamily, size: int, region: Region) -> BlockHit | None:
     """First (x asc, then y asc) corner of an all-invisible size x size block."""
-    return scan_block_range(family, size, region, region.min_x, region.max_x)
+    return next(_iter_blocks(ProfileCache(family, region.extent), size, region), None)
 
 
 def find_all_blocks(family: PolyFamily, size: int, region: Region) -> list[BlockHit]:
     """Every block corner in the region, in scan order."""
-    return list(_iter_blocks(ProfileCache(family, region.extent), size, region, region.min_x, region.max_x))
+    return list(_iter_blocks(ProfileCache(family, region.extent), size, region))
 
 
 def blocks_to_csv(hits, path) -> None:
@@ -186,8 +186,7 @@ def find_point_with_radius(family: PolyFamily, region: Region, r: int) -> Lattic
         xs, ys = range(region.min_x, region.max_x + 1), range(region.min_y, region.max_y + 1)
         candidates = (LatticePoint(i, j) for i in xs for j in ys)
     else:
-        reach = Region(region.min_x, region.max_x + r - 1, region.min_y, region.max_y + r - 1)
-        candidates = (hit.corner for hit in _iter_blocks(cache, r, reach, region.min_x, region.max_x))
+        candidates = (hit.corner for hit in _iter_blocks(cache, r, region.grown(r - 1)))
     return next((p for p in candidates if radius_to_visible(family, p, r, cache).distance == r), None)
 
 

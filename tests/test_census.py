@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyvis import (
@@ -88,6 +88,33 @@ def test_empirical_density_is_last_density_row_and_brute_count(family):
         res = empirical_density(family, n)
         assert (res.n, res.visible_count, res.density_estimate) == density_rows(family, n)[-1]
         assert res.visible_count == brute_count(family, n)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("spec", ["1", "1,1"])
+def test_density_rows_at_counter_width_edges(spec, n):
+    """Row counters take one byte up to N = 255 and two from 256; P = x has
+    the largest counters. Every row equals the double sum at its own N'."""
+    family = parse_family(spec)
+    cache = visibility.ProfileCache(family, n)
+    rows = density_rows(family, n, cache)
+    assert [count for _, count, _ in rows] == [exact_count_ie(family, m, cache=cache) for m in range(1, n + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), max_size=4),
+    st.integers(1, 200),
+    st.integers(0, 90),
+    st.integers(1, 3),
+)
+@example([3, 4], 7, 0, 1)  # empty range: lo = hi + 1
+@example([2, 5, 10], 11, 30, 2)
+def test_multiples_mask_marks_multiples(mods, lo, length, width):
+    """width bytes per b in [lo, hi]: the first is [some m in mods divides b], the rest 0."""
+    hi = lo + length - 1
+    want = b"".join(bytes([any(b % m == 0 for m in mods)]).ljust(width, b"\0") for b in range(lo, hi + 1))
+    assert census.multiples_mask(mods, lo, hi, width) == want
 
 
 def test_density_rows_final_row():

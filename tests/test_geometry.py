@@ -1,7 +1,6 @@
 import csv
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,11 +53,11 @@ def test_region_validation():
 
 def test_classify_examples():
     grid = classify_region(X, square(5))
-    assert int(grid.sum()) == 19
+    assert sum(map(sum, grid)) == 19
     grid = classify_region(XSQ_X, Region(13, 14, 195, 196))
-    assert not grid.any()
+    assert not any(map(any, grid))
     grid = classify_region(X, square(1))
-    assert grid.shape == (1, 1) and bool(grid[0, 0])
+    assert (len(grid), len(grid[0])) == (1, 1) and bool(grid[0][0])
 
 
 def test_classify_matches_pointwise(family):
@@ -71,7 +70,7 @@ def test_classify_matches_pointwise(family):
         for i in range(region.width):
             for j in range(region.height):
                 expect = is_visible(family, LatticePoint(x0 + i, y0 + j)).visible
-                assert bool(grid[i, j]) == expect
+                assert bool(grid[i][j]) == expect
 
 
 def test_find_block_examples():
@@ -94,7 +93,7 @@ def test_find_all_blocks_matches_exhaustive():
         (i + 1, j + 1)
         for i in range(region.width - size + 1)
         for j in range(region.height - size + 1)
-        if not grid[i : i + size, j : j + size].any()
+        if not any(any(col[j : j + size]) for col in grid[i : i + size])
     ]
     assert [(h.corner.a, h.corner.b) for h in hits] == expected
     assert (hits[0].corner.a, hits[0].corner.b) == (14, 20)
@@ -130,6 +129,9 @@ def test_scan_block_range_partition_matches_full():
     found = [h for h in partial if h is not None]
     best = min(found, key=lambda h: (h.corner.a, h.corner.b))
     assert best == full == BlockHit(LatticePoint(13, 195), 2)
+    # one corner x still reads the size - 1 columns past it; an empty range finds nothing
+    assert scan_block_range(XSQ_X, 2, region, 13, 13) == full
+    assert scan_block_range(XSQ_X, 2, region, 13, 12) is None
 
 
 @st.composite
@@ -160,7 +162,7 @@ def test_block_scans_agree(case):
         BlockHit(LatticePoint(region.min_x + i, region.min_y + j), size)
         for i in range(region.width - size + 1)
         for j in range(region.height - size + 1)
-        if not grid[i : i + size, j : j + size].any()
+        if not any(any(col[j : j + size]) for col in grid[i : i + size])
     ]
     assert hits == expected
 
@@ -180,17 +182,17 @@ def test_fast_paths_match_is_visible_direct(case):
     rational-arithmetic definition, which shares no modulus code with them."""
     family, region, n = case
     grid = classify_region(family, region)
-    truth = np.array([
+    truth = [
         [is_visible_direct(family, LatticePoint(x, y)) for y in range(region.min_y, region.max_y + 1)]
         for x in range(region.min_x, region.max_x + 1)
-    ])
-    assert (grid == truth).all()
+    ]
+    assert [list(map(bool, col)) for col in grid] == truth
     for size in (1, 2, 3):
         assert find_all_blocks(family, size, region) == [
             BlockHit(LatticePoint(region.min_x + i, region.min_y + j), size)
             for i in range(region.width - size + 1)
             for j in range(region.height - size + 1)
-            if not truth[i : i + size, j : j + size].any()
+            if not any(any(col[j : j + size]) for col in truth[i : i + size])
         ]
     count = empirical_density(family, n).visible_count
     assert count == exact_count_ie(family, n, PRUNED_MODE) == brute_count(family, n)
@@ -215,7 +217,7 @@ def test_region_csv(tmp_path):
     assert rows[0] == ["x", "y", "visible"]
     assert len(rows) == 5
     for x, y, flag in rows[1:]:
-        assert flag == str(int(grid[int(x) - 2, int(y) - 5]))
+        assert flag == str(grid[int(x) - 2][int(y) - 5])
 
 
 @pytest.mark.parametrize(
@@ -229,7 +231,7 @@ def test_region_csv_matches_csv_writer_bytes(tmp_path, region):
         w.writerow(["x", "y", "visible"])
         for i in range(region.width):
             for j in range(region.height):
-                w.writerow([region.min_x + i, region.min_y + j, int(grid[i, j])])
+                w.writerow([region.min_x + i, region.min_y + j, grid[i][j]])
     path = tmp_path / "grid.csv"
     region_to_csv(grid, region, path)
     assert path.read_bytes() == reference.read_bytes()
