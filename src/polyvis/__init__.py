@@ -6,62 +6,33 @@ counts and estimates densities of visible points, constructs curves that
 make a chosen point visible, and maps invisible blocks and visibility
 radii over regions.
 
-The census and geometry names load on first use (PEP 562), to keep start-up
-cheap.
+Every name below loads its module on first use (PEP 562), so importing the
+package, or one command's modules, costs no more than they need.
 """
 
 import importlib
 
-from .arith import (
-    base_digits,
-    factorize,
-    is_prime,
-    lcm_many,
-    next_prime_above,
-    primes_up_to,
-    valuation,
-)
-from .construct import (
-    Construction,
-    CurveBundle,
-    MultiPrimeConstruction,
-    ValuationProfile,
-    construct_curve_bundle,
-    construct_multi_prime,
-    construct_visible,
-    valuation_profile,
-)
-from .errors import ResourceLimitError
-from .polyfam import DEGREE_CAP, LatticePoint, PolyFamily, RationalPoly, parse_family
-from .visibility import (
-    ColumnProfile,
-    ProfileCache,
-    VisibilityVerdict,
-    column_profile,
-    gcd_p,
-    is_visible,
-    is_visible_direct,
-    lcm_criterion,
-    modulus,
-)
-
 __version__ = "0.1.0"
 
-_LAZY = dict.fromkeys(
-    (
-        "PRUNED_MODE", "SUBSET_MODE", "CensusResult", "ConstantResult", "brute_count",
-        "constant_cp", "constant_cpq", "constant_cpq_star", "coprimality_count",
-        "density_rows", "empirical_density", "exact_count_ie", "rho",
-    ),
-    "census",
-) | dict.fromkeys(
-    (
-        "BLOCK_SURVEY", "BlockHit", "RadiusResult", "Region", "blocks_to_csv",
-        "classify_region", "find_all_blocks", "find_block", "find_point_with_radius",
-        "radius_to_visible", "region_to_csv", "scan_block_range", "survey_family",
-    ),
-    "geometry",
-)
+_LAZY = {
+    name: module
+    for module, names in (
+        ("arith", "base_digits factorize is_prime lcm_many next_prime_above primes_up_to valuation"),
+        ("construct", "Construction CurveBundle MultiPrimeConstruction ValuationProfile "
+         "construct_curve_bundle construct_multi_prime construct_visible valuation_profile"),
+        ("errors", "ResourceLimitError"),
+        ("polyfam", "DEGREE_CAP LatticePoint PolyFamily RationalPoly parse_family"),
+        ("visibility", "ColumnProfile ProfileCache VisibilityVerdict column_profile gcd_p is_visible "
+         "is_visible_direct lcm_criterion modulus"),
+        ("census", "PRUNED_MODE SUBSET_MODE CensusResult ConstantResult brute_count constant_cp "
+         "constant_cpq constant_cpq_star coprimality_count density_rows empirical_density "
+         "exact_count_ie rho"),
+        ("geometry", "BLOCK_SURVEY BlockHit RadiusResult Region blocks_to_csv classify_region "
+         "find_all_blocks find_block find_point_with_radius radius_to_visible region_to_csv "
+         "scan_block_range survey_family"),
+    )
+    for name in names.split()
+}
 
 
 def __getattr__(name: str):

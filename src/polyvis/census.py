@@ -16,7 +16,7 @@ The density constants are Euler products over primes p <= B of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from .arith import count_roots_mod_p, factorize, primes_up_to
@@ -47,20 +47,10 @@ def multiples_mask(mods, lo: int, hi: int, width: int = 1) -> bytearray:
     return mask
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    n: int
-    visible_count: int
-    density_estimate: float
+CensusResult = namedtuple("CensusResult", "n visible_count density_estimate")
 
-
-@dataclass(frozen=True)
-class ConstantResult:
-    """Partial Euler product with a crude-but-rigorous tail estimate."""
-
-    value: float
-    prime_bound: int
-    tail_bound: float
+# A partial Euler product with a crude-but-rigorous tail estimate.
+ConstantResult = namedtuple("ConstantResult", "value prime_bound tail_bound")
 
 
 def _check_n(n: int) -> None:

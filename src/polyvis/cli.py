@@ -28,10 +28,13 @@ left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 64 bits, at most 4 of them for --multi. blocks --out without --all, and
 --rows with --target illustration or naming no survey row, are bad input.
 
-Each command pays only for its own work. density counts by the paper's
-exact double sum over one ProfileCache. `visible` tries the lcm
-certificate before the O(a) column scan. --out is opened before any
-work, after the input checks.
+Each command pays only for its own work. Every command loads polyfam,
+visibility, arith and errors; density and count add census; blocks,
+classify, radius and reproduce --target table1 add geometry, which loads
+census; construct and reproduce --target illustration add construct.
+density counts by the paper's exact double sum over one ProfileCache.
+`visible` tries the lcm certificate before the O(a) column scan. --out
+is opened before any work, after the input checks.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .construct import construct_multi_prime, construct_visible
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
 from .visibility import ProfileCache, gcd_p, is_visible, is_visible_direct, lcm_criterion
@@ -179,12 +181,14 @@ def cmd_count(args):
 
 
 def cmd_construct(args):
+    from . import construct
+
     pt = _parse_point(args.point)
     if args.multi is not None:
         ells = _parse_ints(args.multi, "--multi must be a comma list of integers")
-        got = construct_multi_prime(pt, ells)
+        got = construct.construct_multi_prime(pt, ells)
     else:
-        got = construct_visible(pt, args.prime)
+        got = construct.construct_visible(pt, args.prime)
     return None, got.to_record(), 0
 
 
@@ -252,6 +256,8 @@ def cmd_radius(args):
 
 
 def _reproduce_illustration():
+    from .construct import construct_visible
+
     c = construct_visible(LatticePoint(3, 5))
     checks = [
         ("curve(1) = 5/7", c.curve.eval(1) == Fraction(5, 7)),

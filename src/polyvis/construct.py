@@ -10,14 +10,15 @@ Horner in base a reassembles ell at x = a, so C(a) = b exactly, while for
 ell survives in every denominator: the open segment from (0,0) to (a, b)
 meets no lattice point. The same digit polynomial drives the multi-prime
 average and the n-coordinate bundle; every claim is re-checked in exact
-rational arithmetic and the outcome recorded, never assumed.
+integer arithmetic and the outcome recorded, never assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, prod
 
 from .arith import base_digits, is_prime, next_prime_above, valuation
 from .errors import ResourceLimitError
@@ -29,13 +30,11 @@ ELL_BITS_CAP = 64
 MULTI_PRIME_CAP = 4
 
 
-@dataclass(frozen=True)
-class Construction:
-    point: LatticePoint
-    ell: int
-    digits: tuple[int, ...]  # little-endian base-a digits of ell
-    curve: RationalPoly
-    verified: bool  # curve(t) non-integral for every 0 < t < a
+class Construction(namedtuple("Construction", "point ell digits curve verified")):
+    """A digit curve through point: digits are ell's little-endian base-a digits,
+    and verified says curve(t) is non-integral for every 0 < t < a."""
+
+    __slots__ = ()
 
     def to_record(self) -> dict:
         return {
@@ -49,16 +48,13 @@ class Construction:
         }
 
 
-@dataclass(frozen=True)
-class MultiPrimeConstruction:
-    """Average of single-prime curves; denominators should retain every prime."""
+class MultiPrimeConstruction(
+    namedtuple("MultiPrimeConstruction", "point ells components curve verified denominator_counterexamples")
+):
+    """Average of single-prime curves; denominators should retain every prime.
+    denominator_counterexamples are the interior t where some ell drops out."""
 
-    point: LatticePoint
-    ells: tuple[int, ...]
-    components: tuple[Construction, ...]
-    curve: RationalPoly
-    verified: bool
-    denominator_counterexamples: tuple[int, ...]  # interior t where some ell drops out
+    __slots__ = ()
 
     @property
     def denominator_claim_ok(self) -> bool:
@@ -76,20 +72,11 @@ class MultiPrimeConstruction:
         }
 
 
-@dataclass(frozen=True)
-class CurveBundle:
-    """One curve per coordinate after the first; x runs along coordinate 1."""
+# One curve per coordinate after the first; x runs along coordinate 1.
+CurveBundle = namedtuple("CurveBundle", "point ell curves verified")
 
-    point: tuple[int, ...]
-    ell: int
-    curves: tuple[RationalPoly, ...]
-    verified: bool
-
-
-@dataclass(frozen=True)
-class ValuationProfile:
-    ell: int
-    points: tuple[tuple[int, int], ...]  # (exponent, v_ell) for nonzero coefficients
+# points: (exponent, v_ell) for each nonzero coefficient.
+ValuationProfile = namedtuple("ValuationProfile", "ell points")
 
 
 def _frac_str(c: Fraction) -> str:
@@ -124,10 +111,26 @@ def _digit_curves(coords: tuple[int, ...], ell: int | None):
         for c in coords[1:]
     )
     verified = all(
-        curve.eval(a) == c and all(curve.eval(t).denominator != 1 for t in range(1, a))
+        curve.eval(a) == c and all(q > 1 for q in _denominators(curve, a))
         for curve, c in zip(curves, coords[1:])
     )
     return ell, digits, curves, verified
+
+
+def _denominators(curve: RationalPoly, a: int):
+    """The reduced denominator of curve(t) for t = 1, ..., a - 1, in integers.
+
+    With D and the coefficients of D * curve from `RationalPoly._integral`,
+    Horner gives num = D * curve(t), so curve(t) = num / D has denominator
+    D // gcd(num, D), which is 1 exactly when D divides num. No Fraction is
+    built per t.
+    """
+    den, nums = curve._integral
+    for t in range(1, a):
+        acc = 0
+        for n in nums:
+            acc = acc * t + n
+        yield den // gcd(acc, den)
 
 
 def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:
@@ -162,12 +165,12 @@ def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
     columns = zip_longest(*(c.curve.coeffs for c in components), fillvalue=Fraction(0))
     curve = RationalPoly(tuple(sum(col) / len(components) for col in columns))
     verified = curve.eval(pt.a) == pt.b
+    every = prod(ells)  # distinct primes: all divide q exactly when their product does
     bad: list[int] = []
-    for t in range(1, pt.a):
-        val = curve.eval(t)
-        if val.denominator == 1:
+    for t, q in enumerate(_denominators(curve, pt.a), 1):
+        if q == 1:
             verified = False
-        if any(val.denominator % ell for ell in ells):
+        if q % every:
             bad.append(t)
     return MultiPrimeConstruction(pt, ells, components, curve, verified, tuple(bad))
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import reduce
 from itertools import compress
 
@@ -24,18 +23,18 @@ from .visibility import ProfileCache
 DEFAULT_MAX_LAYERS = 200
 
 
-@dataclass(frozen=True)
-class Region:
-    min_x: int
-    max_x: int
-    min_y: int
-    max_y: int
+class Region(namedtuple("Region", "min_x max_x min_y max_y")):
+    """The box [min_x, max_x] x [min_y, max_y]."""
 
-    def __post_init__(self):
-        if self.min_x < 1 or self.min_y < 1:
+    __slots__ = ()  # fields checked in __new__, which _make and _replace skip: never call them
+
+    def __new__(cls, min_x: int, max_x: int, min_y: int, max_y: int):
+        self = super().__new__(cls, min_x, max_x, min_y, max_y)
+        if min_x < 1 or min_y < 1:
             raise ValueError(f"region coordinates must be >= 1, got {self}")
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        if min_x > max_x or min_y > max_y:
             raise ValueError(f"empty region {self}")
+        return self
 
     @property
     def width(self) -> int:
@@ -57,19 +56,16 @@ class Region:
         return Region(self.min_x, self.max_x + r, self.min_y, self.max_y + r)
 
 
-@dataclass(frozen=True)
-class BlockHit:
-    corner: LatticePoint  # lower-left
-    size: int
+class BlockHit(namedtuple("BlockHit", "corner size")):
+    """An all-invisible size x size block; corner is its lower-left point."""
+
+    __slots__ = ()
 
     def to_record(self) -> dict:
         return {"corner_x": self.corner.a, "corner_y": self.corner.b, "size": self.size}
 
 
-@dataclass(frozen=True)
-class RadiusResult:
-    origin: LatticePoint
-    distance: int  # -1 when the layer bound is exhausted
+RadiusResult = namedtuple("RadiusResult", "origin distance")  # distance -1: the layer bound ran out
 
 
 def classify_region(family: PolyFamily, region: Region) -> list[bytes]:

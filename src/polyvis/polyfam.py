@@ -13,41 +13,41 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 DEGREE_CAP = 16
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(namedtuple("LatticePoint", "a b")):
     """A point (a, b) in the positive integer quadrant."""
 
-    a: int
-    b: int
+    __slots__ = ()  # fields checked in __new__, which _make and _replace skip: never call them
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"lattice point must have a, b >= 1, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int):
+        if a < 1 or b < 1:
+            raise ValueError(f"lattice point must have a, b >= 1, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(namedtuple("PolyFamily", "coeffs")):
     """Integer polynomial family y = q * P(x); coeffs[i] is the x**(i+1) coefficient."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()  # fields checked in __new__, which _make and _replace skip: never call them
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[int, ...]):
+        self = super().__new__(cls, coeffs)
+        if not coeffs:
             raise ValueError("family needs at least one coefficient")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in coeffs):
             raise ValueError(f"family {self.spec!r} has a negative coefficient")
-        if self.coeffs[-1] <= 0:
+        if coeffs[-1] <= 0:
             raise ValueError(f"family {self.spec!r} needs a positive leading coefficient")
-        if math.gcd(*self.coeffs) != 1:
-            raise ValueError(f"coefficient content must be 1, got {math.gcd(*self.coeffs)}")
-        if len(self.coeffs) > DEGREE_CAP:
-            raise ValueError(f"family degree {len(self.coeffs)} exceeds cap {DEGREE_CAP}")
+        if math.gcd(*coeffs) != 1:
+            raise ValueError(f"coefficient content must be 1, got {math.gcd(*coeffs)}")
+        if len(coeffs) > DEGREE_CAP:
+            raise ValueError(f"family degree {len(coeffs)} exceeds cap {DEGREE_CAP}")
+        return self
 
     @property
     def degree(self) -> int:
@@ -96,15 +96,13 @@ def parse_family(text: str, *, normalize: bool = True) -> PolyFamily:
     return PolyFamily(tuple(reversed(desc)))
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class RationalPoly(namedtuple("RationalPoly", "coeffs")):
     """Polynomial with exact Fraction coefficients, constant term included.
 
     coeffs[i] multiplies x**i. Used for the constructed curves, whose
-    whole point is having controlled denominators.
+    whole point is having controlled denominators. It keeps a __dict__
+    (no __slots__) for the cached `_integral`.
     """
-
-    coeffs: tuple[Fraction, ...]
 
     @property
     def degree(self) -> int:

@@ -18,7 +18,7 @@ one gcd per candidate t instead of one per earlier column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -27,21 +27,11 @@ from .arith import factorize, primes_up_to, roots_mod_p, valuation
 from .polyfam import LatticePoint, PolyFamily
 
 
-@dataclass(frozen=True)
-class VisibilityVerdict:
-    visible: bool
-    witness_t: int | None = None
-    witness_modulus: int | None = None
+VisibilityVerdict = namedtuple("VisibilityVerdict", "visible witness_t witness_modulus", defaults=(None, None))
 
-
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Everything the counting and scanning code needs about one column."""
-
-    a: int
-    moduli: tuple[tuple[int, int], ...]  # (t, m_{a,t}) for t in [1, a)
-    minimal_moduli: tuple[int, ...]  # divisibility-minimal values, ascending
-    lcm_prime_set: tuple[int, ...]  # primes dividing lcm of the d_t
+# One column: a; moduli, the (t, m_{a,t}) for t in [1, a); minimal_moduli, the
+# divisibility-minimal values, ascending; lcm_prime_set, the primes dividing L_P(a).
+ColumnProfile = namedtuple("ColumnProfile", "a moduli minimal_moduli lcm_prime_set")
 
 
 def modulus(family: PolyFamily, a: int, t: int) -> int:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, find_all_blocks, geometry, modulus, parse_family, visibility
+from polyvis import census, cli, construct, find_all_blocks, geometry, modulus, parse_family, visibility
 from polyvis.arith import factorize
 from polyvis.cli import main
 from polyvis.geometry import Region
@@ -399,7 +399,8 @@ def _forbid_work(monkeypatch):
     for module, names in (
         (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie")),
         (geometry, ("classify_region", "find_block", "find_all_blocks", "find_point_with_radius")),
-        (cli, ("is_visible", "construct_visible", "construct_multi_prime")),
+        (cli, ("is_visible",)),
+        (construct, ("construct_visible", "construct_multi_prime")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, fail)
@@ -599,13 +600,27 @@ def test_console_script_smoke():
     assert env["payload"]["visible"] is True
 
 
-_NUMPY_PROBE = """
-import sys
+_MODULES_PROBE = """
+import json, sys
 from polyvis import cli
 if sys.argv[1:]:
     cli.main(sys.argv[1:])
-print("numpy" in sys.modules)
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def _modules_loaded_by(argv) -> set[str]:
+    """The modules a fresh interpreter holds after importing polyvis.cli and running argv."""
+    src = str(Path(polyvis.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize(
@@ -628,16 +643,31 @@ def test_no_command_loads_numpy(argv):
     """polyvis runs on the standard library alone: importing polyvis.cli and
     running each command in a fresh interpreter leaves numpy unloaded, even
     where numpy is installed."""
-    src = str(Path(polyvis.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert "numpy" not in _modules_loaded_by(argv)
+
+
+_LEAN = {"dataclasses", "inspect", "polyvis.construct"}
+_QUERY = {"polyvis.census", "polyvis.geometry"}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ((), _LEAN | _QUERY),
+        (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY),
+        (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY),
+        (("density", "--poly", "1", "--n", "10"), _LEAN | {"polyvis.geometry"}),
+        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | {"polyvis.geometry"}),
+        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | {"polyvis.geometry"}),
+        (("construct", "--point", "3,5"), _QUERY),
+        (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY),
+    ],
+)
+def test_commands_load_only_their_modules(argv, unloaded):
+    """Start-up stays lean: no command loads dataclasses or inspect, only
+    construct and the illustration load polyvis.construct, and the query
+    commands leave the census and geometry modules unloaded."""
+    assert not _modules_loaded_by(argv) & unloaded
 
 
 def test_lazy_package_names_resolve():

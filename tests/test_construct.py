@@ -11,6 +11,7 @@ from polyvis import (
     construct_curve_bundle,
     construct_multi_prime,
     construct_visible,
+    RationalPoly,
     next_prime_above,
     valuation_profile,
 )
@@ -220,3 +221,40 @@ def test_every_construct_result_is_verified(a, rest, count):
         ells.append(next_prime_above(ells[-1]))
     multi = construct_multi_prime(pt, ells)
     assert multi.verified and all(c.verified for c in multi.components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.integers(2, 300),
+    b=st.integers(1, 300),
+    skip=st.integers(0, 3),
+    count=st.integers(1, construct.MULTI_PRIME_CAP),
+)
+def test_integer_checks_match_the_fraction_values(a, b, skip, count):
+    """verified and denominator_counterexamples, read in integers from
+    RationalPoly._integral, equal the same facts read from the Fraction
+    RationalPoly.eval(t) at every t, and so does each reduced denominator."""
+    ells = [next_prime_above(max(a, b))]
+    while len(ells) < skip + count:
+        ells.append(next_prime_above(ells[-1]))
+    ells = ells[skip:]
+    single = construct_visible(LatticePoint(a, b), ells[0])
+    multi = construct_multi_prime(LatticePoint(a, b), ells)
+    for got, curve in ((single, single.curve), (multi, multi.curve)):
+        dens = [curve.eval(t).denominator for t in range(1, a)]
+        assert list(construct._denominators(curve, a)) == dens
+        assert got.verified == (curve.eval(a) == b and 1 not in dens)
+    dens = [multi.curve.eval(t).denominator for t in range(1, a)]
+    assert multi.denominator_counterexamples == tuple(
+        t for t, den in enumerate(dens, 1) if any(den % ell for ell in ells)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=6),
+    a=st.integers(1, 40),
+)
+def test_denominators_of_any_rational_poly(coeffs, a):
+    curve = RationalPoly(tuple(coeffs))
+    assert list(construct._denominators(curve, a)) == [curve.eval(t).denominator for t in range(1, a)]
