@@ -33,6 +33,11 @@ _LAZY = {
     )
     for name in names.split()
 }
+__all__ = list(_LAZY)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 
 def __getattr__(name: str):

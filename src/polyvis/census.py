@@ -2,11 +2,9 @@
 
 Counts are exact integers; densities are formed by one float division at
 the end. Column a is invisible exactly at multiples of its minimal moduli,
-so the count is the paper's exact double sum over them (`exact_count_ie`).
-The per-N prefix rows sieve, one strided slice fill per modulus
-(`multiples_mask`).
-
-Every count over [1,N]^2 reads its columns from a ProfileCache(family, N),
+so every count, the per-N prefix rows too, is the paper's exact double
+sum over them, from one term list per column (`_ie_terms`). Counts over
+[1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
 which callers may share: a modulus above N marks no b <= N.
 
 The density constants are Euler products over primes p <= B of
@@ -31,22 +29,6 @@ _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
 _ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
 
 
-def multiples_mask(mods, lo: int, hi: int, width: int = 1) -> bytearray:
-    """width bytes per b in [lo, hi]: b's first byte is 1 where some modulus
-    in mods divides b, and every other byte is 0.
-
-    The column sieve: with a column's minimal moduli it marks the invisible
-    points of that column. Read little-endian, a mask of width w > 1 is one
-    w-byte counter per b (`density_rows`).
-    """
-    mask = bytearray((hi - lo + 1) * width)
-    for m in mods:
-        start = -(-lo // m) * m
-        if start <= hi:
-            mask[(start - lo) * width :: m * width] = b"\1" * ((hi - start) // m + 1)
-    return mask
-
-
 CensusResult = namedtuple("CensusResult", "n visible_count density_estimate")
 
 # A partial Euler product with a crude-but-rigorous tail estimate.
@@ -66,29 +48,37 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
+def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None) -> ProfileCache:
+    """cache, refused unless it holds family's columns up to n, or a new ProfileCache(family, n)."""
+    _check_n(n)
+    if cache is None:
+        return ProfileCache(family, n)
+    if cache.family != family or cache.bound < n:
+        raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
+    return cache
+
+
 def density_rows(family: PolyFamily, n: int, cache: ProfileCache | None = None) -> list[tuple[int, int, float]]:
     """(N', visible_count, density) for every prefix square N' = 1..n.
 
-    One pass: when column a arrives, its contribution to future rows is
-    accumulated into a per-b histogram, so row a only needs the histogram
-    value at b = a (columns < a) plus its own column count up to b = a.
-    The histogram is one int of w-byte counters, lowest b first; no counter
-    exceeds n - 1 < 2^(8w), so adding a column's mask never carries.
-    cache, when given, is a ProfileCache(family, n) shared with other counts.
+    Row N' adds column N' over b <= N', its double sum at N', and row N'
+    over the earlier columns: (a, N') is visible iff column a's terms with
+    lcm l | N' have signs summing to 1, so the row sums weight[l], the signs
+    of the earlier columns' terms with lcm l, over the divisors l of N'.
+    cache, when given, is a ProfileCache of family up to n or past it.
     """
-    _check_n(n)
-    cache = cache or ProfileCache(family, n)
-    w = (n.bit_length() + 7) // 8
-    row_bad = 0  # counter j: invisible (a', a + j) with a' < a
-    out = []
-    total = 0
+    cache = _column_cache(family, n, cache)
+    divisors = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for k in range(d, n + 1, d):
+            divisors[k].append(d)
+    weight, out, total = [0] * (n + 1), [], 0
     for a in range(1, n + 1):
-        mods = cache.minimal_moduli(a)
-        col_vis = a - multiples_mask(mods, 1, a).count(1)
-        row_vis = (a - 1) - (row_bad & ((1 << 8 * w) - 1))
-        total += col_vis + row_vis
+        terms = _ie_terms(cache.minimal_moduli(a), n)
+        total += sum(s * (a // l) for l, s in terms) + sum(weight[l] for l in divisors[a])
         out.append((a, total, total / (a * a)))
-        row_bad = (row_bad >> 8 * w) + int.from_bytes(multiples_mask(mods, a + 1, n, w), "little")
+        for l, s in terms:
+            weight[l] += s
     return out
 
 
@@ -121,21 +111,18 @@ def _ie_subsets(mods: list[int], n: int) -> int:
     return rec(0, 1, 1)
 
 
-def _ie_pruned(mods: list[int], n: int) -> int:
-    """Same sum with zero terms skipped: once an lcm exceeds n, every superset
-    contributes floor(n / lcm) = 0, so the branch is dropped whole."""
-    total = 0
+def _ie_terms(mods, n: int) -> list[tuple[int, int]]:
+    """(lcm J, (-1)^|J|) for every subset J of mods with lcm J <= n, the empty set first.
+    A subset whose lcm passes n, and each superset of it, adds floor(n / lcm) = 0."""
+    terms = [(1, 1)]
+    for m in mods:
+        terms += [(l2, -s) for l, s in terms if (l2 := lcm(l, m)) <= n]
+    return terms
 
-    def rec(i: int, l: int, sign: int) -> None:
-        nonlocal total
-        total += sign * (n // l)
-        for j in range(i, len(mods)):
-            l2 = lcm(l, mods[j])
-            if l2 <= n:
-                rec(j + 1, l2, -sign)
 
-    rec(0, 1, 1)
-    return total
+def _ie_pruned(mods, n: int) -> int:
+    """The inclusion-exclusion sum over mods at n: the b <= n that no modulus divides."""
+    return sum(s * (n // l) for l, s in _ie_terms(mods, n))
 
 
 def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE, cache: ProfileCache | None = None) -> int:
@@ -144,19 +131,17 @@ def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE, cache: P
     Column a contributes sum over subsets J of its moduli of
     (-1)^|J| * floor(N / lcm J). Modes: "subset-enumeration" runs the sum
     literally over all 2^(a-1) subsets (capped at a <= 26); "pruned-lcm"
-    dedupes moduli to the divisibility-minimal set and abandons branches
-    whose lcm passes N. The two agree everywhere. cache is as in density_rows.
+    takes the divisibility-minimal moduli and only the subsets whose lcm is
+    at most N. The two agree everywhere. cache is as in density_rows.
     """
     _check_n(n)
     if mode not in (SUBSET_MODE, PRUNED_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == SUBSET_MODE and n > _SUBSET_COLUMN_CAP:
-        raise ResourceLimitError(
-            f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}"
-        )
     if mode == SUBSET_MODE:
+        if n > _SUBSET_COLUMN_CAP:
+            raise ResourceLimitError(f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}")
         return sum(_ie_subsets([modulus(family, a, t) for t in range(1, a)], n) for a in range(1, n + 1))
-    cache = cache or ProfileCache(family, n)
+    cache = _column_cache(family, n, cache)
     return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
 
 
@@ -226,6 +211,5 @@ def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = N
     takes the pruned sum of exact_count_ie over the primes <= N of L_P(a)
     (`ProfileCache.prime_set`). cache is as in density_rows.
     """
-    _check_n(n)
-    cache = cache or ProfileCache(family, n)
+    cache = _column_cache(family, n, cache)
     return sum(_ie_pruned(cache.prime_set(a), n) for a in range(1, n + 1))

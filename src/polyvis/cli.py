@@ -30,9 +30,9 @@ left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 
 Each command pays only for its own work. Every command loads polyfam,
 visibility, arith and errors; density and count add census; blocks,
-classify, radius and reproduce --target table1 add geometry, which loads
-census; construct and reproduce --target illustration add construct.
-density counts by the paper's exact double sum over one ProfileCache.
+classify, radius and reproduce --target table1 add geometry; construct
+and reproduce --target illustration add construct. density counts, and
+its --out rows too, by the paper's exact double sum over one ProfileCache.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """

@@ -16,7 +16,6 @@ from collections import deque, namedtuple
 from functools import reduce
 from itertools import compress
 
-from .census import multiples_mask
 from .polyfam import LatticePoint, PolyFamily, parse_family
 from .visibility import ProfileCache
 
@@ -66,6 +65,15 @@ class BlockHit(namedtuple("BlockHit", "corner size")):
 
 
 RadiusResult = namedtuple("RadiusResult", "origin distance")  # distance -1: the layer bound ran out
+
+
+def multiples_mask(mods, lo: int, hi: int) -> bytearray:
+    """The column sieve: one byte per b in [lo, hi], 1 where some modulus in mods divides b."""
+    mask = bytearray(hi - lo + 1)
+    for m in mods:
+        start = -(-lo // m) * m  # past hi, the slice and the fill are both empty
+        mask[start - lo :: m] = b"\1" * ((hi - start) // m + 1)
+    return mask
 
 
 def classify_region(family: PolyFamily, region: Region) -> list[bytes]:
@@ -157,12 +165,14 @@ def radius_to_visible(
     [y, y+k-1]: column x+k and row y+k. distance is the first k whose ring
     holds a visible point; 0 means the origin itself is visible, -1 that
     no ring up to max_layers does. The rings reach max(x, y) + max_layers,
-    which a given cache's bound must cover.
+    which a given cache, of this family, must cover with its bound.
     """
     x, y = origin.a, origin.b
     reach = max(x, y) + max_layers
     if cache is None:
         cache = ProfileCache(family, reach)
+    elif cache.family != family:
+        raise ValueError(f"the cache holds {cache.family.spec}, not {family.spec}")
     elif cache.bound < reach:
         raise ValueError(f"the rings reach {reach}, past the cache bound {cache.bound}")
     for k in range(max_layers + 1):

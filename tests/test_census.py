@@ -24,7 +24,7 @@ from polyvis import (
     parse_family,
     rho,
 )
-from polyvis import census, visibility
+from polyvis import census, geometry, visibility
 from polyvis.arith import primes_up_to
 
 X = parse_family("1")
@@ -93,28 +93,100 @@ def test_empirical_density_is_last_density_row_and_brute_count(family):
 @pytest.mark.parametrize("n", [255, 256, 257])
 @pytest.mark.parametrize("spec", ["1", "1,1"])
 def test_density_rows_at_counter_width_edges(spec, n):
-    """Row counters take one byte up to N = 255 and two from 256; P = x has
-    the largest counters. Every row equals the double sum at its own N'."""
+    """N = 255, 256 and 257, where a one-byte count per row would overflow;
+    P = x has the most invisible points per row. Every row equals the double
+    sum at its own N', counted from the same shared cache."""
     family = parse_family(spec)
     cache = visibility.ProfileCache(family, n)
     rows = density_rows(family, n, cache)
     assert [count for _, count, _ in rows] == [exact_count_ie(family, m, cache=cache) for m in range(1, n + 1)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(1, 40), max_size=4),
-    st.integers(1, 200),
-    st.integers(0, 90),
-    st.integers(1, 3),
+def _sieve_prefix_counts(family, n):
+    """Visible points of [1, N']^2 for N' = 1..n, from the column sieve of
+    `geometry.classify_region`: an oracle independent of the double sum."""
+    grid = geometry.classify_region(family, geometry.Region(1, n, 1, n))
+    counts, total = [], 0
+    for k in range(1, n + 1):
+        total += grid[k - 1][:k].count(1) + sum(col[k - 1] for col in grid[: k - 1])
+        counts.append(total)
+    return counts
+
+
+@st.composite
+def _low_degree_families(draw):
+    lead = draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(0, 3), max_size=3))
+    return parse_family(",".join(map(str, [lead, *rest])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_low_degree_families(), st.integers(1, 60))
+@example(X, 60)
+@example(parse_family("1,0,0"), 60)
+def test_density_rows_match_the_column_sieve(family, n):
+    """Every prefix row counts what the column sieve marks visible in its square."""
+    assert [count for _, count, _ in density_rows(family, n)] == _sieve_prefix_counts(family, n)
+
+
+def test_density_rows_match_the_column_sieve_x2_plus_x_at_400():
+    rows = density_rows(XSQ_X, 400)
+    assert [count for _, count, _ in rows] == _sieve_prefix_counts(XSQ_X, 400)
+    assert [dens for _, _, dens in rows] == [c / (n * n) for n, c, _ in rows]
+
+
+# (name, the count as f(family, n, cache)) for every count that takes a ProfileCache
+CACHED_COUNTS = [
+    ("exact_count_ie", lambda fam, n, cache: exact_count_ie(fam, n, cache=cache)),
+    ("coprimality_count", coprimality_count),
+    ("density_rows", lambda fam, n, cache: density_rows(fam, n, cache)[-1][1]),
+]
+
+
+@pytest.mark.parametrize("count", [c for _, c in CACHED_COUNTS], ids=[name for name, _ in CACHED_COUNTS])
+@pytest.mark.parametrize(
+    "cache_family, bound",
+    [(XSQ_X, 10), (XSQ_X, 99), (parse_family("1,0,0"), 100), (X, 100), (parse_family("1,1,0"), 500)],
+    ids=["short", "one-short", "x^3", "x", "x^3+x^2"],
 )
-@example([3, 4], 7, 0, 1)  # empty range: lo = hi + 1
-@example([2, 5, 10], 11, 30, 2)
-def test_multiples_mask_marks_multiples(mods, lo, length, width):
-    """width bytes per b in [lo, hi]: the first is [some m in mods divides b], the rest 0."""
-    hi = lo + length - 1
-    want = b"".join(bytes([any(b % m == 0 for m in mods)]).ljust(width, b"\0") for b in range(lo, hi + 1))
-    assert census.multiples_mask(mods, lo, hi, width) == want
+def test_counts_refuse_a_cache_of_another_family_or_a_shorter_bound(count, cache_family, bound):
+    """x^2 + x at N = 100 from a cache of x^3, or one up to 10, counted
+    9301 and 9336 visible points instead of 8779 before this check."""
+    with pytest.raises(ValueError, match="cannot count 1,1 up to 100"):
+        count(XSQ_X, 100, visibility.ProfileCache(cache_family, bound))
+
+
+@pytest.mark.parametrize("count", [c for _, c in CACHED_COUNTS], ids=[name for name, _ in CACHED_COUNTS])
+@pytest.mark.parametrize("spec", ["1", "1,1", "1,0,2,3"])
+def test_counts_from_a_larger_cache_are_unchanged(count, spec):
+    """A cache past N holds moduli above N, which mark no b <= N."""
+    family = parse_family(spec)
+    want = count(family, 100, None)
+    assert count(family, 100, visibility.ProfileCache(family, 100)) == want
+    assert count(family, 100, visibility.ProfileCache(family, 1000)) == want
+
+
+def test_cached_counts_of_x2_plus_x_at_100():
+    assert exact_count_ie(XSQ_X, 100) == 8779
+    assert coprimality_count(XSQ_X, 100) == 4847
+
+
+@pytest.mark.parametrize(
+    "mods, n, terms",
+    [
+        ([], 5, [(1, 1)]),
+        ([2, 3], 5, [(1, 1), (2, -1), (3, -1)]),
+        ([2, 3], 6, [(1, 1), (2, -1), (3, -1), (6, 1)]),
+        ([4, 6, 9], 36, [(1, 1), (4, -1), (6, -1), (12, 1), (9, -1), (36, 1), (18, 1), (36, -1)]),
+        ([7], 6, [(1, 1)]),
+    ],
+)
+def test_ie_terms(mods, n, terms):
+    """One term per subset with lcm <= n, the empty set first, each sign (-1)^|J|."""
+    assert census._ie_terms(mods, n) == terms
+    assert census._ie_pruned(mods, n) == census._ie_subsets(mods, n) == sum(
+        all(b % m for m in mods) for b in range(1, n + 1)
+    )
 
 
 def test_density_rows_final_row():

@@ -661,13 +661,44 @@ _QUERY = {"polyvis.census", "polyvis.geometry"}
         (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | {"polyvis.geometry"}),
         (("construct", "--point", "3,5"), _QUERY),
         (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY),
+        (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | {"polyvis.census"}),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | {"polyvis.census"}),
+        (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | {"polyvis.census"}),
+        (("reproduce", "--target", "table1"), _LEAN | {"polyvis.census"}),
     ],
 )
 def test_commands_load_only_their_modules(argv, unloaded):
     """Start-up stays lean: no command loads dataclasses or inspect, only
-    construct and the illustration load polyvis.construct, and the query
-    commands leave the census and geometry modules unloaded."""
+    construct and the illustration load polyvis.construct, the query
+    commands leave the census and geometry modules unloaded, and the
+    geometry commands leave census unloaded."""
     assert not _modules_loaded_by(argv) & unloaded
+
+
+_STAR_PROBE = """
+import json, sys
+import polyvis
+listed = dir(polyvis)
+before = sorted(sys.modules)
+namespace = {}
+exec("from polyvis import *", namespace)
+bound = sorted(name for name in namespace if name != "__builtins__")
+print(json.dumps([polyvis.__all__, listed, bound, before]))
+"""
+
+
+def test_star_import_and_dir_list_every_lazy_name():
+    """`from polyvis import *` binds every lazy name, and dir(polyvis) lists
+    them before any has loaded; importing the package loads no submodule."""
+    src = str(Path(polyvis.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAR_PROBE], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    exported, listed, bound, loaded = json.loads(proc.stdout)
+    assert sorted(exported) == sorted(polyvis._LAZY) == bound
+    assert set(exported) <= set(listed) and "__version__" in listed
+    assert not {m for m in loaded if m.startswith("polyvis.")}
 
 
 def test_lazy_package_names_resolve():

@@ -2,7 +2,7 @@ import csv
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyvis import (
@@ -29,6 +29,7 @@ from polyvis import (
     scan_block_range,
     survey_family,
 )
+from polyvis.geometry import multiples_mask
 
 from conftest import families
 
@@ -250,6 +251,24 @@ def test_radius_refuses_a_cache_short_of_its_rings():
     assert radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 200)).distance == 2
     with pytest.raises(ValueError, match="the rings reach 200, past the cache bound 199"):
         radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 199))
+
+
+@pytest.mark.parametrize("cache_family", [X, parse_family("1,0"), parse_family("2,2,1")], ids=lambda f: f.spec)
+def test_radius_refuses_a_cache_of_another_family(cache_family):
+    """With a cache of P = x, (13, 195) on x^2 + x read radius 1 instead of 2."""
+    with pytest.raises(ValueError, match=f"the cache holds {cache_family.spec}, not 1,1"):
+        radius_to_visible(XSQ_X, LatticePoint(13, 195), cache=ProfileCache(cache_family, 10**4))
+    assert radius_to_visible(XSQ_X, LatticePoint(13, 195), cache=ProfileCache(XSQ_X, 10**4)).distance == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), max_size=4), st.integers(1, 200), st.integers(0, 90))
+@example([3, 4], 7, 0)  # empty range: lo = hi + 1
+@example([2, 5, 10], 11, 30)
+def test_multiples_mask_marks_multiples(mods, lo, length):
+    """One byte per b in [lo, hi]: [some m in mods divides b]."""
+    hi = lo + length - 1
+    assert multiples_mask(mods, lo, hi) == bytes(any(b % m == 0 for m in mods) for b in range(lo, hi + 1))
 
 
 def bfs_radius(cache: ProfileCache, origin: LatticePoint, max_layers: int) -> int:
