@@ -9,11 +9,10 @@ divides b. Column a = 1 has no earlier columns, so every (1, b) is
 visible. Column a's moduli have lcm L_P(a) = P(a) / gcd(P(1), ..., P(a)).
 Everything in this module is exact integer arithmetic.
 
-The single-point functions (`is_visible`, `is_visible_direct`,
-`column_profile`) scan every t < a. The sieves read whole columns from a
-`ProfileCache` with a bound, which finds the moduli <= bound from the
-divisors of P(a) and the roots of P modulo its prime powers, and pays
-one gcd per candidate t instead of one per earlier column.
+The single-point functions (`is_visible`, `is_visible_direct`, `column_profile`)
+scan every t < a. The sieves read whole columns from a `ProfileCache` with a
+bound, which finds every column's moduli <= bound from the divisors of P(a) and
+the roots of P modulo its prime powers: one gcd per candidate t, not per t < a.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
     return gcd(ProfileCache(family, max(point.a, point.b)).lcm(point.a), point.b) == 1
 
 
-_SCAN_TO = 128  # ProfileCache takes every t < a as a candidate up to this column
 _CLASS_RUN = 8  # t per candidate class at which ProfileCache stops refining by CRT
 
 
@@ -169,25 +167,21 @@ class ProfileCache:
     def _moduli(self, a: int) -> tuple[int, ...]:
         """minimal_moduli(a): one gcd per candidate t (`_candidates`), not per t < a.
 
-        Up to column _SCAN_TO every t < a is a candidate: that many gcds cost
-        less than the factoring and the search. Past it only the bound-smooth
-        part of P(a) is factorized. The rest, C(a), is made of primes above
-        the bound and divides P(a)/m for every m <= bound. When bound >= a
-        those primes exceed a, and C(a) | P(t) = t Q(t) with Q = P/x forces
-        C(a) | (Q(a) - Q(t))/(a - t), which is at most Q(a) - Q(a-1)
-        (nonnegative coefficients). A larger C(a) leaves the column with no
-        modulus <= bound.
+        Column 1 has no earlier columns. Otherwise only the bound-smooth part of
+        P(a) is factorized. The rest, C(a), is made of primes above the bound and
+        divides P(a)/m for every m <= bound. When bound >= a those primes exceed
+        a, and C(a) | P(t) = t Q(t) with Q = P/x forces C(a) | (Q(a) - Q(t))/(a - t),
+        which is at most Q(a) - Q(a-1) (nonnegative coefficients). A larger C(a)
+        leaves the column with no modulus <= bound.
         """
+        if a == 1:
+            return ()
         pa = self.value(a)
-        if a <= _SCAN_TO:
-            candidates = range(1, a)
-        else:
-            powers = [(p, valuation(p, pa)) for p in self._smooth_primes(a)]
-            rough = pa // prod(p**e for p, e in powers)
-            if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
-                return ()
-            candidates = self._candidates(a, powers)
-        mods = {pa // gcd(pa, self.value(t)) for t in candidates}
+        powers = [(p, valuation(p, pa)) for p in self._smooth_primes(a)]
+        rough = pa // prod(p**e for p, e in powers)
+        if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
+            return ()
+        mods = {pa // gcd(pa, self.value(t)) for t in self._candidates(a, powers)}
         return _minimal_by_divisibility({m for m in mods if m <= self.bound})
 
     def _smooth_primes(self, a: int) -> list[int]:
@@ -200,22 +194,28 @@ class ProfileCache:
         """t < a holding a witness of every modulus <= bound of column a; powers are
         the prime powers p^e of P(a) with p <= bound.
 
-        m is a multiple of m_{a,t} exactly when d = P(a)/m divides P(t). So
-        for m = prod p^j <= bound, a witness t has p^(e-j) | P(t) for every p
-        and lies in the CRT intersection of `_classes(p, e - j)`. The search
-        branches on j prime by prime, largest p^e first, with the product of
-        the p^j at most bound, so every m <= bound has its branch. A branch
-        stops refining once its classes hold _CLASS_RUN t each on average,
-        and its classes join the candidates. A class whose least member is
-        >= a is dropped, since refining it only raises that member.
+        m is a multiple of m_{a,t} exactly when d = P(a)/m divides P(t). So for
+        m = prod p^j <= bound, a witness t has p^(e-j) | P(t) for every p and lies
+        in the CRT intersection of `_classes(p, e - j)`. The search branches on j
+        prime by prime, largest p^e first, with the product of the p^j at most
+        bound, so every m <= bound has its branch. A branch stops refining once
+        its classes hold _CLASS_RUN t each on average, and they join the
+        candidates. A class whose least member is >= a is dropped: refining only
+        raises it. A branch that refines every prime with larger classes needs
+        one t: if d | P(t) for their least member t, t alone joins, since then
+        m_{a,t} | m, and so m_{a,t} = m when m is minimal.
         """
         pool: set[tuple[int, int]] = set()
         powers = sorted(powers, key=lambda pe: pe[0] ** pe[1], reverse=True)
         stack = [(0, 1, [(0, 1)], 1.0)]
         while stack:
             i, m, classes, share = stack.pop()
-            if i == len(powers) or a * share <= _CLASS_RUN * len(classes):
+            if a * share <= _CLASS_RUN * len(classes):
                 pool.update(classes)
+                continue
+            if i == len(powers):
+                t = min(r or q for r, q in classes)
+                pool.update([(t, a)] if self.value(t) % (self.value(a) // m) == 0 else classes)
                 continue
             p, e = powers[i]
             pj = 1
@@ -242,15 +242,15 @@ class ProfileCache:
         and the share of the integers they hold.
 
         A root r of P mod p with P'(r) a unit mod p lifts to one root mod p^e
-        (Hensel), kept mod the first power of p past the bound: that class
-        holds at most one t <= bound. A root with P'(r) = 0 mod p stays a
-        class mod p, a superset of its lifts.
+        (Hensel), kept mod the first power of p past the bound: that class holds
+        at most one t <= bound. A root with P'(r) = 0 mod p stays a class mod p,
+        a superset of its lifts. The roots mod p are found once, for e = 1.
         """
         got = self._root_classes.get((p, e))
         if got is None:
             coeffs = self.family.coeffs
             classes = []
-            for r in {0, *roots_mod_p(coeffs, p)}:
+            for r in [r for r, _ in self._classes(p, 1)[1]] if e > 1 else {0, *roots_mod_p(coeffs, p)}:
                 slope = sum((i + 1) * c * r**i for i, c in enumerate(coeffs)) % p
                 q = p
                 if slope:
@@ -277,7 +277,7 @@ class ProfileCache:
         """Primes <= bound dividing L_P(a), ascending.
 
         L_P(a) divides P(a), so they are among the _smooth_primes(a), which
-        past column _SCAN_TO the moduli search has factorized already.
+        the moduli search has factorized already.
         """
         la = self.lcm(a)
         return tuple(p for p in self._smooth_primes(a) if la % p == 0)

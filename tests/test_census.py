@@ -41,23 +41,45 @@ COUNT_ROWS = [
 ROW_NS = (1, 5, 10, 12, 15, 20)
 
 
+def _modulus_scan_rows(family, n):
+    """Oracle: the visible count of every prefix square [1, N']^2, N' = 1..n, from
+    modulus() over every t < a and a sieve of the b <= n each modulus divides.
+    It reads no ProfileCache, so it shares no moduli search with the counts."""
+    visible = [None]
+    for a in range(1, n + 1):
+        blocked = bytearray(n + 1)
+        for m in {modulus(family, a, t) for t in range(1, a)}:
+            blocked[m::m] = b"\1" * len(range(m, n + 1, m))
+        visible.append([not x for x in blocked])
+    rows, total = [], 0
+    for k in range(1, n + 1):
+        total += sum(visible[k][1 : k + 1]) + sum(visible[a][k] for a in range(1, k))
+        rows.append(total)
+    return rows
+
+
 def test_counting_methods_agree(family):
+    sieve = _modulus_scan_rows(family, 12)
     for n in (1, 2, 3, 5, 8, 12):
-        sieve = empirical_density(family, n).visible_count
-        assert exact_count_ie(family, n, SUBSET_MODE) == sieve
-        assert exact_count_ie(family, n, PRUNED_MODE) == sieve
-        assert brute_count(family, n) == sieve
+        assert exact_count_ie(family, n, SUBSET_MODE) == sieve[n - 1]
+        assert exact_count_ie(family, n, PRUNED_MODE) == sieve[n - 1]
+        assert brute_count(family, n) == sieve[n - 1]
 
 
 def test_counting_methods_agree_n20():
     for fam in (X, XSQ_X):
-        sieve = empirical_density(fam, 20).visible_count
+        sieve = _modulus_scan_rows(fam, 20)[-1]
         assert exact_count_ie(fam, 20, SUBSET_MODE) == sieve
         assert exact_count_ie(fam, 20, PRUNED_MODE) == sieve
 
 
 def test_pruned_matches_sieve_locally(family):
-    assert exact_count_ie(family, 60) == empirical_density(family, 60).visible_count
+    """exact_count_ie and every density_rows row equal the modulus-scan census, at
+    N = 60 and at N = 300, where P(a) has more and larger prime powers."""
+    for n in (60, 300):
+        sieve = _modulus_scan_rows(family, n)
+        assert exact_count_ie(family, n) == sieve[-1]
+        assert [count for _, count, _ in density_rows(family, n)] == sieve
 
 
 def test_known_count_rows():

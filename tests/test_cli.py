@@ -106,8 +106,8 @@ def test_density_counts_by_double_sum(lead, rest, n):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_density_factorizes_each_column_once(monkeypatch, out):
-    """prime_set reads the factorization the moduli search made: at most one
-    factorize per column, where columns past 128 used to take two."""
+    """prime_set reads the factorization the moduli search made for its column,
+    so density takes at most one factorize per column."""
     calls = []
 
     def spy(m):

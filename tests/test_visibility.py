@@ -224,13 +224,16 @@ def _gcd_scan_minimal(family, a, bound):
     bound=st.integers(1, 800),
     columns=st.lists(st.integers(1, 600), min_size=1, max_size=8),
 )
-# Columns past 128 go through the candidate search; those up to it take every t.
+# Every column a >= 2 goes through the candidate search.
 @example(family=parse_family("1,1,1"), bound=800, columns=[545, 300])  # C(545) = 883 and 545 is a modulus
 @example(family=parse_family("3,0,2,1"), bound=600, columns=[200, 130])  # C(a) > Q(a) - Q(a-1): no modulus
 @example(family=parse_family("1,1"), bound=20, columns=[144, 147])  # bound < a: C(144) = 29 < a
 @example(family=parse_family("1,2,1"), bound=500, columns=[180, 90, 1, 2])  # -1 is a double root
 # 257 = a + 1 is a modulus equal to the bound, and t = a - 1 is its only witness.
 @example(family=parse_family("1,1"), bound=257, columns=[256])
+@example(family=X, bound=1000, columns=[997])  # P = x at a prime: the one class (0, 1) holds every t < a
+@example(family=X, bound=800, columns=[720])  # P = x at a column with 30 divisors
+@example(family=XSQ_X, bound=1, columns=[1, 2])  # P(1) = 2 has a prime above the bound, and column 1 no t
 def test_minimal_moduli_match_gcd_scan(family, bound, columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
     cut to [1, bound], for bounds above and below a and columns in any order."""
@@ -295,3 +298,23 @@ def test_is_visible_scans_only_uncertified_points(monkeypatch):
         calls.clear()
         assert is_visible(family, LatticePoint(300, b)).visible
         assert len(set(calls)) == (family.degree + 1 if certified else 300)
+
+
+@pytest.mark.parametrize("a", [9973, 9240])  # a prime; 2^3 * 3 * 5 * 7 * 11 with 64 divisors
+def test_degree_one_column_evaluates_few_t(monkeypatch, a):
+    """For P = x the candidate search costs O(divisors of a), not O(a).
+
+    P(a) = a is bound-smooth, and each branch holds one class (0, D), D the part
+    of a/m fixed so far. Stopped early it holds fewer than _CLASS_RUN members
+    below a. Refined in full, D = a/m divides P(D), so t = D alone joins. Branches
+    that stop cover disjoint sets of divisors m, so at most tau(a) of them stop.
+    Besides the candidates, P is evaluated only at a and, for the Hensel lift, 0.
+    """
+    cache = ProfileCache(X, 10_000)
+    calls = []
+    real_eval = type(X).eval
+    monkeypatch.setattr(type(X), "eval", lambda self, x: calls.append(x) or real_eval(self, x))
+    primes = factorize(a)
+    assert cache.minimal_moduli(a) == tuple(p for p, _ in primes)
+    divisors = math.prod(e + 1 for _, e in primes)
+    assert len(set(calls)) <= 2 + (visibility._CLASS_RUN - 1) * divisors
