@@ -22,7 +22,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS = 40  # randomized rounds above the deterministic bound
 
 _SMALL_PRIME_LIMIT = 10_000
-_SPLIT_FROM = 256  # roots_mod_p tries every residue below this prime, splits from it on
 
 
 def lcm_many(values) -> int:
@@ -195,38 +194,33 @@ def count_roots_mod_p(coeffs, p: int) -> int:
 def roots_mod_p(coeffs, p: int) -> list[int]:
     """The distinct roots in F_p of sum coeffs[i] * x**i, ascending, for a prime p.
 
-    The roots are those of g = gcd(Q, x^p - x). Below _SPLIT_FROM every
-    residue is tried on g. Above it, equal-degree splitting (Cantor-Zassenhaus;
-    Cohen, GTM 138, 3.4.3): gcd(g, (x + s)^((p-1)/2) - 1) holds the roots r
-    with r + s a nonzero square. Shifts s = 0, 1, 2, ... are tried until one
-    splits g; for two roots r != r', (p - 1)/2 shifts separate them. Q mod p
-    must not be zero.
+    The roots are those of g = gcd(Q, x^p - x), found at every prime by
+    equal-degree splitting (Cantor-Zassenhaus; Cohen, GTM 138, 3.4.3):
+    gcd(g, (x + s)^((p-1)/2) - 1) holds the roots r with r + s a nonzero
+    square. Some shift s in [0, p) separates any two roots. A factor split
+    off at s resumes at s + 1: every earlier shift gave all of its roots one
+    answer. g of degree p is x^p - x itself, every residue; at p = 2 it is
+    the only g of degree >= 2, where the exponent (p-1)/2 would be 0. Q mod
+    p must not be zero.
     """
     g = _frobenius_gcd(coeffs, p)
-    if p < _SPLIT_FROM:
-        return [r for r in range(p) if _value_mod_p(g, r, p) == 0]
+    if len(g) > p:
+        return list(range(p))
     roots = []
-    stack = [g]
+    stack = [(g, 0)]
     while stack:
-        g = stack.pop()
+        g, first = stack.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
         elif len(g) > 2:
-            for s in range(p):
+            for s in range(first, p):
                 h = _power_mod(g, p, s, (p - 1) // 2)
                 h[0] = (h[0] - 1) % p
                 f = _gcd_mod_p(list(g), h, p)
                 if 1 < len(f) < len(g):
-                    stack += [f, _quotient_mod_p(g, f, p)]
+                    stack += [(f, s + 1), (_quotient_mod_p(g, f, p), s + 1)]
                     break
     return sorted(roots)
-
-
-def _value_mod_p(cs: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _frobenius_gcd(coeffs, p: int) -> list[int]:

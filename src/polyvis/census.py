@@ -83,9 +83,9 @@ def density_rows(family: PolyFamily, n: int, cache: ProfileCache | None = None) 
 
 
 def empirical_density(family: PolyFamily, n: int) -> CensusResult:
-    """Exact visible count over [1,N]^2 and its density: the last density row."""
-    _, count, density = density_rows(family, n)[-1]
-    return CensusResult(n, count, density)
+    """Exact visible count over [1,N]^2 and its density, by exact_count_ie."""
+    count = exact_count_ie(family, n)
+    return CensusResult(n, count, count / (n * n))
 
 
 def brute_count(family: PolyFamily, n: int) -> int:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from polyvis import (
     primes_up_to,
     valuation,
 )
+from polyvis import arith
 from polyvis.arith import count_roots_mod_p, roots_mod_p
 
 
@@ -183,7 +186,8 @@ def test_count_roots_mod_p_counts_distinct_roots():
 
 
 def test_roots_mod_p_finds_every_root():
-    """Below 256 every residue is tried on gcd(Q, x^p - x); from 256 on it is split."""
+    """Random root sets at small and large primes, and random polynomials checked
+    against residue enumeration; every prime takes the one splitting path."""
     rng = random.Random(6)
     for p in (2, 3, 5, 7, 101, 251, 257, 7919, 2**31 - 1):
         for _ in range(25):
@@ -203,6 +207,59 @@ def test_roots_mod_p_finds_every_root():
             assert roots_mod_p(poly, p) == expected
     with pytest.raises(ValueError):
         roots_mod_p([7, 14], 7)
+
+
+def test_roots_mod_p_every_root_set_at_small_primes():
+    """Every root set over F_p for p <= 7, and those of size <= 4 for p = 11, 13,
+    alone and with the first root repeated, against residue enumeration."""
+    for p, most in ((2, 2), (3, 3), (5, 5), (7, 7), (11, 4), (13, 4)):
+        for k in range(most + 1):
+            for roots in itertools.combinations(range(p), k):
+                for repeated in ((), roots[:1]):
+                    poly = [1 + k % (p - 1)]  # a nonzero leading coefficient, not always 1
+                    for r in roots + repeated:
+                        poly = _times_linear(poly, r)
+                    expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
+                    assert expected == list(roots)
+                    assert roots_mod_p(poly, p) == expected, (p, roots + repeated)
+
+
+def test_roots_mod_p_raises_to_positive_powers_only(monkeypatch):
+    """_power_mod is defined for e >= 1. At p = 2 the split exponent (p - 1)/2 is 0,
+    so x^2 + x = x^p - x must be answered without splitting; so must x^3 - x at p = 3."""
+    power_mod = arith._power_mod
+
+    def checked(q, p, s, e):
+        assert e >= 1, (q, p, s, e)
+        return power_mod(q, p, s, e)
+
+    monkeypatch.setattr(arith, "_power_mod", checked)
+    assert roots_mod_p([1], 2) == []
+    assert roots_mod_p([0, 1], 2) == [0]
+    assert roots_mod_p([1, 1], 2) == [1]
+    assert roots_mod_p([0, 1, 1], 2) == [0, 1]
+    assert roots_mod_p([0, -1, 0, 1], 3) == [0, 1, 2]
+
+
+def _python_calls(fn, *args):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_roots_mod_p_work_does_not_grow_with_a_small_prime():
+    """A linear Q has its root in its constant term at every prime: as many Python
+    calls at p = 251 as at p = 7919, none of them per residue."""
+    assert _python_calls(roots_mod_p, [1, 1], 251) == _python_calls(roots_mod_p, [1, 1], 7919)
 
 
 def test_count_roots_mod_p_degree_drops_and_errors():

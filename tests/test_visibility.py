@@ -234,6 +234,9 @@ def _gcd_scan_minimal(family, a, bound):
 @example(family=X, bound=1000, columns=[997])  # P = x at a prime: the one class (0, 1) holds every t < a
 @example(family=X, bound=800, columns=[720])  # P = x at a column with 30 divisors
 @example(family=XSQ_X, bound=1, columns=[1, 2])  # P(1) = 2 has a prime above the bound, and column 1 no t
+# Q = x^p - x mod p has every residue as a root: x^2 + x at p = 2, and x^3 + 2x at p = 3.
+@example(family=parse_family("1,1,0"), bound=400, columns=list(range(1, 401)))
+@example(family=parse_family("1,0,2,0"), bound=400, columns=list(range(1, 401)))
 def test_minimal_moduli_match_gcd_scan(family, bound, columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
     cut to [1, bound], for bounds above and below a and columns in any order."""
