@@ -18,10 +18,10 @@ _LAZY = {
     name: module
     for module, names in (
         ("arith", "base_digits factorize is_prime lcm_many next_prime_above primes_up_to valuation"),
-        ("construct", "Construction CurveBundle MultiPrimeConstruction ValuationProfile "
+        ("construct", "Construction CurveBundle MultiPrimeConstruction RationalPoly ValuationProfile "
          "construct_curve_bundle construct_multi_prime construct_visible valuation_profile"),
         ("errors", "ResourceLimitError"),
-        ("polyfam", "DEGREE_CAP LatticePoint PolyFamily RationalPoly parse_family"),
+        ("polyfam", "DEGREE_CAP LatticePoint PolyFamily parse_family"),
         ("visibility", "ColumnProfile ProfileCache VisibilityVerdict column_profile gcd_p is_visible "
          "is_visible_direct lcm_criterion modulus"),
         ("census", "PRUNED_MODE SUBSET_MODE CensusResult ConstantResult brute_count constant_cp "

@@ -1,8 +1,8 @@
 """Exact integer arithmetic: primality, factorization, p-adic valuations,
 roots of polynomials over F_p, digits.
 
-Everything here works on plain Python ints (arbitrary precision) and
-`fractions.Fraction`, so results are exact. Factorization is deterministic
+Everything here works on plain Python ints (arbitrary precision), so results
+are exact (`valuation` also takes a Fraction). Factorization is deterministic
 run-to-run: trial division by sieved primes, then Brent-cycle Pollard rho
 seeded from the number being split.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 # Deterministic Miller-Rabin witness set; sufficient for all n below this
 # bound (in particular for anything that fits in 64 bits).
@@ -38,7 +38,7 @@ def primes_up_to(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    return list(compress(range(bound + 1), sieve))
 
 
 @lru_cache(maxsize=1)
@@ -157,8 +157,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
-def valuation(p: int, x: int | Fraction) -> int:
-    """p-adic valuation v_p(x) for nonzero x (int or Fraction).
+def valuation(p: int, x) -> int:
+    """p-adic valuation v_p(x) for nonzero x, an int (denominator 1) or a Fraction.
 
     Negative for fractions with p in the denominator. Raises on x == 0,
     where the valuation is not a finite number.
@@ -167,9 +167,7 @@ def valuation(p: int, x: int | Fraction) -> int:
         raise ValueError(f"valuation needs p >= 2, got {p}")
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    if isinstance(x, Fraction):
-        return _int_valuation(p, x.numerator) - _int_valuation(p, x.denominator)
-    return _int_valuation(p, x)
+    return _int_valuation(p, x.numerator) - _int_valuation(p, x.denominator)
 
 
 def _int_valuation(p: int, n: int) -> int:

@@ -45,7 +45,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
@@ -256,6 +255,7 @@ def cmd_radius(args):
 
 
 def _reproduce_illustration():
+    from fractions import Fraction
     from .construct import construct_visible
 
     c = construct_visible(LatticePoint(3, 5))

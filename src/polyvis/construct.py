@@ -10,24 +10,76 @@ Horner in base a reassembles ell at x = a, so C(a) = b exactly, while for
 ell survives in every denominator: the open segment from (0,0) to (a, b)
 meets no lattice point. The same digit polynomial drives the multi-prime
 average and the n-coordinate bundle; every claim is re-checked in exact
-integer arithmetic and the outcome recorded, never assumed.
+integer arithmetic and the outcome recorded, never assumed. The curves are
+`RationalPoly`s, exact `Fraction` polynomials that live here beside their one user.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .arith import base_digits, is_prime, next_prime_above, valuation
 from .errors import ResourceLimitError
-from .polyfam import LatticePoint, RationalPoly
+from .polyfam import LatticePoint
 
 # Fixed caps that LATTICE_SCOPE_CAP leaves alone. A 64-bit ell keeps is_prime
 # in its deterministic Miller-Rabin range.
 ELL_BITS_CAP = 64
 MULTI_PRIME_CAP = 4
+
+
+class RationalPoly(namedtuple("RationalPoly", "coeffs")):
+    """Polynomial with exact Fraction coefficients, constant term included.
+
+    coeffs[i] multiplies x**i. Used for the constructed curves, whose
+    whole point is having controlled denominators. It keeps a __dict__
+    (no __slots__) for the cached `_integral`.
+    """
+
+    @property
+    def degree(self) -> int:
+        d = len(self.coeffs) - 1
+        while d > 0 and self.coeffs[d] == 0:
+            d -= 1
+        return d
+
+    def eval(self, x: int | Fraction) -> Fraction:
+        """The exact value at x, by Horner on integers.
+
+        With D the lcm of the coefficient denominators and x = p/q, Horner
+        runs on the integer coefficients of D * curve, homogenized in (p, q),
+        and one Fraction is built at the end: acc / (D * q^k) with
+        k = len(coeffs) - 1. The value equals Fraction-by-Fraction Horner.
+        """
+        den, nums = self._integral
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for n in nums:
+            acc = acc * p + n * scale
+            scale *= q
+        return Fraction(acc * q, den * scale)
+
+    @functools.cached_property
+    def _integral(self) -> tuple[int, tuple[int, ...]]:
+        """(D, the coefficients of D * curve from the highest power down)."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
+
+    def __str__(self) -> str:
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                pw = "x" if i == 1 else f"x^{i}"
+                terms.append(f"{c}*{pw}" if c != 1 else pw)
+        return " + ".join(terms) if terms else "0"
 
 
 class Construction(namedtuple("Construction", "point ell digits curve verified")):
@@ -110,27 +162,27 @@ def _digit_curves(coords: tuple[int, ...], ell: int | None):
         RationalPoly((Fraction(0),) + tuple(Fraction(c * d, ell * a) for d in digits))
         for c in coords[1:]
     )
-    verified = all(
-        curve.eval(a) == c and all(q > 1 for q in _denominators(curve, a))
-        for curve, c in zip(curves, coords[1:])
-    )
+    verified = True
+    for curve, c in zip(curves, coords[1:]):
+        den = curve._integral[0]
+        verified = verified and curve.eval(a) == c and all(num % den for num in _numerators(curve, a))
     return ell, digits, curves, verified
 
 
-def _denominators(curve: RationalPoly, a: int):
-    """The reduced denominator of curve(t) for t = 1, ..., a - 1, in integers.
-
-    With D and the coefficients of D * curve from `RationalPoly._integral`,
-    Horner gives num = D * curve(t), so curve(t) = num / D has denominator
-    D // gcd(num, D), which is 1 exactly when D divides num. No Fraction is
-    built per t.
-    """
-    den, nums = curve._integral
+def _numerators(curve: RationalPoly, a: int):
+    """D * curve(t) for t = 1, ..., a - 1, by integer Horner: curve(t) is an integer iff D divides it."""
+    nums = curve._integral[1]
     for t in range(1, a):
         acc = 0
         for n in nums:
             acc = acc * t + n
-        yield den // gcd(acc, den)
+        yield acc
+
+
+def _denominators(curve: RationalPoly, a: int):
+    """The reduced denominator D // gcd(num, D) of curve(t) for t = 1, ..., a - 1."""
+    den = curve._integral[0]
+    return (den // gcd(num, den) for num in _numerators(curve, a))
 
 
 def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:

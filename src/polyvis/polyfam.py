@@ -1,4 +1,4 @@
-"""Polynomial curve families and the exact-rational curves built from them.
+"""Integer polynomial curve families and the lattice points they pass through.
 
 A family is an integer polynomial P(x) = a_n x^n + ... + a_1 x with no
 constant term, nonnegative coefficients, positive leading coefficient, and
@@ -11,10 +11,8 @@ descending degree order, comma-separated: "2,5" means 2x^2 + 5x.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 DEGREE_CAP = 16
 
@@ -95,52 +93,3 @@ def parse_family(text: str, *, normalize: bool = True) -> PolyFamily:
         desc = [c // g for c in desc]
     return PolyFamily(tuple(reversed(desc)))
 
-
-class RationalPoly(namedtuple("RationalPoly", "coeffs")):
-    """Polynomial with exact Fraction coefficients, constant term included.
-
-    coeffs[i] multiplies x**i. Used for the constructed curves, whose
-    whole point is having controlled denominators. It keeps a __dict__
-    (no __slots__) for the cached `_integral`.
-    """
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
-    def eval(self, x: int | Fraction) -> Fraction:
-        """The exact value at x, by Horner on integers.
-
-        With D the lcm of the coefficient denominators and x = p/q, Horner
-        runs on the integer coefficients of D * curve, homogenized in (p, q),
-        and one Fraction is built at the end: acc / (D * q^k) with
-        k = len(coeffs) - 1. The value equals Fraction-by-Fraction Horner.
-        """
-        den, nums = self._integral
-        p, q = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for n in nums:
-            acc = acc * p + n * scale
-            scale *= q
-        return Fraction(acc * q, den * scale)
-
-    @functools.cached_property
-    def _integral(self) -> tuple[int, tuple[int, ...]]:
-        """(D, the coefficients of D * curve from the highest power down)."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                pw = "x" if i == 1 else f"x^{i}"
-                terms.append(f"{c}*{pw}" if c != 1 else pw)
-        return " + ".join(terms) if terms else "0"

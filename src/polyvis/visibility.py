@@ -18,7 +18,6 @@ the roots of P modulo its prime powers: one gcd per candidate t, not per t < a.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
@@ -46,16 +45,17 @@ def is_visible(family: PolyFamily, point: LatticePoint) -> VisibilityVerdict:
 
     The lcm certificate comes first: when b is coprime to L_P(a), one gcd
     over at most deg + 1 values proves (a, b) visible. Otherwise the O(a)
-    column scan runs, so an invisible point still gets its smallest t.
+    column scan runs, so an invisible point still gets its smallest t. It takes
+    one remainder per t: m_{a,t} | b exactly when D = P(a) / gcd(P(a), b) divides P(t).
     """
     if lcm_criterion(family, point):
         return VisibilityVerdict(True)
     a, b = point.a, point.b
     pa = family.eval(a)
+    d = pa // gcd(pa, b)
     for t in range(1, a):
-        m = pa // gcd(pa, family.eval(t))
-        if b % m == 0:
-            return VisibilityVerdict(False, t, m)
+        if (pt := family.eval(t)) % d == 0:
+            return VisibilityVerdict(False, t, pa // gcd(pa, pt))
     return VisibilityVerdict(True)
 
 
@@ -65,6 +65,7 @@ def is_visible_direct(family: PolyFamily, point: LatticePoint) -> bool:
     Kept deliberately independent of `is_visible` (no shared modulus math)
     so the two can cross-check each other.
     """
+    from fractions import Fraction
     a, b = point.a, point.b
     pa = family.eval(a)
     for t in range(1, a):

@@ -648,30 +648,32 @@ def test_no_command_loads_numpy(argv):
 
 _LEAN = {"dataclasses", "inspect", "polyvis.construct"}
 _QUERY = {"polyvis.census", "polyvis.geometry"}
+_INTEGER = {"fractions", "decimal"}  # only the curve construction and the rational oracle need them
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        ((), _LEAN | _QUERY),
-        (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY),
-        (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY),
-        (("density", "--poly", "1", "--n", "10"), _LEAN | {"polyvis.geometry"}),
-        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | {"polyvis.geometry"}),
-        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | {"polyvis.geometry"}),
+        ((), _LEAN | _QUERY | _INTEGER),
+        (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY | _INTEGER),
+        (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY | _INTEGER),
+        (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | {"polyvis.geometry"}),
+        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.geometry"}),
+        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | _INTEGER | {"polyvis.geometry"}),
         (("construct", "--point", "3,5"), _QUERY),
         (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY),
-        (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | {"polyvis.census"}),
-        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | {"polyvis.census"}),
-        (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | {"polyvis.census"}),
+        (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | _INTEGER | {"polyvis.census"}),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.census"}),
+        (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | _INTEGER | {"polyvis.census"}),
         (("reproduce", "--target", "table1"), _LEAN | {"polyvis.census"}),
     ],
 )
 def test_commands_load_only_their_modules(argv, unloaded):
     """Start-up stays lean: no command loads dataclasses or inspect, only
     construct and the illustration load polyvis.construct, the query
-    commands leave the census and geometry modules unloaded, and the
-    geometry commands leave census unloaded."""
+    commands leave the census and geometry modules unloaded, the
+    geometry commands leave census unloaded, and the integer commands
+    leave fractions and decimal unloaded."""
     assert not _modules_loaded_by(argv) & unloaded
 
 

@@ -281,10 +281,14 @@ def _points(draw, family):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), family=families())
-def test_is_visible_matches_full_scan(data, family):
-    """The lcm certificate exit changes neither the verdict nor the smallest witness."""
-    a, b = data.draw(_points(family))
+@given(case=families().flatmap(lambda family: st.tuples(st.just(family), _points(family))))
+@example(case=(XSQ_X, (13, XSQ_X.eval(13))))  # P(a) | b: D = 1, so t = 1 is the witness
+@example(case=(XSQ_X, (1, 2)))  # column 1 has no earlier t; gcd(P(1), 2) = 2 but L_P(1) = 1
+@example(case=(parse_family("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3"), (137, 43)))  # 43 | P(137), visible
+def test_is_visible_matches_full_scan(case):
+    """The lcm certificate exit and the D | P(t) scan change neither the
+    verdict nor the smallest witness and its modulus."""
+    family, (a, b) = case
     v = is_visible(family, LatticePoint(a, b))
     assert (v.visible, v.witness_t, v.witness_modulus) == _full_scan(family, a, b)
 
