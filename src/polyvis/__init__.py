@@ -24,9 +24,8 @@ _LAZY = {
         ("polyfam", "DEGREE_CAP LatticePoint PolyFamily parse_family"),
         ("visibility", "ColumnProfile ProfileCache VisibilityVerdict column_profile gcd_p is_visible "
          "is_visible_direct lcm_criterion modulus"),
-        ("census", "PRUNED_MODE SUBSET_MODE CensusResult ConstantResult brute_count constant_cp "
-         "constant_cpq constant_cpq_star coprimality_count density_rows empirical_density "
-         "exact_count_ie rho"),
+        ("census", "CensusResult ConstantResult brute_count constant_cp constant_cpq constant_cpq_star "
+         "coprimality_count density_rows empirical_density exact_count_ie rho subset_count"),
         ("geometry", "BLOCK_SURVEY BlockHit RadiusResult Region blocks_to_csv classify_region "
          "find_all_blocks find_block find_point_with_radius radius_to_visible region_to_csv "
          "scan_block_range survey_family"),

@@ -23,8 +23,6 @@ from .polyfam import LatticePoint, PolyFamily
 from .visibility import ProfileCache, is_visible_direct, modulus
 
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
-SUBSET_MODE = "subset-enumeration"
-PRUNED_MODE = "pruned-lcm"
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
 _ORACLE_N_CAP = 100  # brute_count does O(N^3) Fraction work; N = 100 takes seconds
 
@@ -100,6 +98,14 @@ def brute_count(family: PolyFamily, n: int) -> int:
     )
 
 
+def subset_count(family: PolyFamily, n: int) -> int:
+    """exact_count_ie's sum run literally over all 2^(a-1) subsets of every m_{a,t}: a cross-check."""
+    _check_n(n)
+    if n > _SUBSET_COLUMN_CAP:
+        raise ResourceLimitError(f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}")
+    return sum(_ie_subsets([modulus(family, a, t) for t in range(1, a)], n) for a in range(1, n + 1))
+
+
 def _ie_subsets(mods: list[int], n: int) -> int:
     """Literal inclusion-exclusion over all 2^k subsets; cross-check oracle."""
 
@@ -125,22 +131,14 @@ def _ie_pruned(mods, n: int) -> int:
     return sum(s * (n // l) for l, s in _ie_terms(mods, n))
 
 
-def exact_count_ie(family: PolyFamily, n: int, mode: str = PRUNED_MODE, cache: ProfileCache | None = None) -> int:
+def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None) -> int:
     """Visible-pair count over [1,N]^2 by per-column inclusion-exclusion.
 
     Column a contributes sum over subsets J of its moduli of
-    (-1)^|J| * floor(N / lcm J). Modes: "subset-enumeration" runs the sum
-    literally over all 2^(a-1) subsets (capped at a <= 26); "pruned-lcm"
-    takes the divisibility-minimal moduli and only the subsets whose lcm is
-    at most N. The two agree everywhere. cache is as in density_rows.
+    (-1)^|J| * floor(N / lcm J), taken over the divisibility-minimal moduli
+    and only the subsets whose lcm is at most N; subset_count runs the same
+    sum over every subset. cache is as in density_rows.
     """
-    _check_n(n)
-    if mode not in (SUBSET_MODE, PRUNED_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == SUBSET_MODE:
-        if n > _SUBSET_COLUMN_CAP:
-            raise ResourceLimitError(f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}")
-        return sum(_ie_subsets([modulus(family, a, t) for t in range(1, a)], n) for a in range(1, n + 1))
     cache = _column_cache(family, n, cache)
     return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
 

@@ -171,11 +171,8 @@ def cmd_count(args):
 
     fam = parse_family(args.poly)
     _check_n(args.n, _scope_cap(DEFAULT_N_CAP))
-    if args.mode == "oracle":
-        count = census.brute_count(fam, args.n)
-    else:
-        mode = census.PRUNED_MODE if args.mode == "pruned" else census.SUBSET_MODE
-        count = census.exact_count_ie(fam, args.n, mode=mode)
+    counter = {"oracle": census.brute_count, "pruned": census.exact_count_ie, "subsets": census.subset_count}
+    count = counter[args.mode](fam, args.n)
     return fam.spec, {"n": args.n, "count": count, "mode": args.mode}, 0
 
 

@@ -16,7 +16,6 @@ integer arithmetic and the outcome recorded, never assumed. The curves are
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
@@ -36,9 +35,10 @@ class RationalPoly(namedtuple("RationalPoly", "coeffs")):
     """Polynomial with exact Fraction coefficients, constant term included.
 
     coeffs[i] multiplies x**i. Used for the constructed curves, whose
-    whole point is having controlled denominators. It keeps a __dict__
-    (no __slots__) for the cached `_integral`.
+    whole point is having controlled denominators.
     """
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -48,26 +48,12 @@ class RationalPoly(namedtuple("RationalPoly", "coeffs")):
         return d
 
     def eval(self, x: int | Fraction) -> Fraction:
-        """The exact value at x, by Horner on integers.
-
-        With D the lcm of the coefficient denominators and x = p/q, Horner
-        runs on the integer coefficients of D * curve, homogenized in (p, q),
-        and one Fraction is built at the end: acc / (D * q^k) with
-        k = len(coeffs) - 1. The value equals Fraction-by-Fraction Horner.
-        """
-        den, nums = self._integral
-        p, q = x.numerator, x.denominator
-        acc, scale = 0, 1
+        """The exact value at x: Horner on the integer coefficients of D * curve, divided by D once."""
+        den, nums = _integral(self)
+        acc = 0
         for n in nums:
-            acc = acc * p + n * scale
-            scale *= q
-        return Fraction(acc * q, den * scale)
-
-    @functools.cached_property
-    def _integral(self) -> tuple[int, tuple[int, ...]]:
-        """(D, the coefficients of D * curve from the highest power down)."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
+            acc = acc * x + n
+        return Fraction(acc, den)
 
     def __str__(self) -> str:
         terms = []
@@ -80,6 +66,12 @@ class RationalPoly(namedtuple("RationalPoly", "coeffs")):
                 pw = "x" if i == 1 else f"x^{i}"
                 terms.append(f"{c}*{pw}" if c != 1 else pw)
         return " + ".join(terms) if terms else "0"
+
+
+def _integral(curve: RationalPoly) -> tuple[int, tuple[int, ...]]:
+    """(D, the coefficients of D * curve from the highest power down), D the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in curve.coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in reversed(curve.coeffs))
 
 
 class Construction(namedtuple("Construction", "point ell digits curve verified")):
@@ -164,14 +156,14 @@ def _digit_curves(coords: tuple[int, ...], ell: int | None):
     )
     verified = True
     for curve, c in zip(curves, coords[1:]):
-        den = curve._integral[0]
-        verified = verified and curve.eval(a) == c and all(num % den for num in _numerators(curve, a))
+        den, nums = _integral(curve)
+        verified = verified and curve.eval(a) == c and all(num % den for num in _numerators(nums, a))
     return ell, digits, curves, verified
 
 
-def _numerators(curve: RationalPoly, a: int):
-    """D * curve(t) for t = 1, ..., a - 1, by integer Horner: curve(t) is an integer iff D divides it."""
-    nums = curve._integral[1]
+def _numerators(nums: tuple[int, ...], a: int):
+    """D * curve(t) for t = 1, ..., a - 1, by Horner on nums = _integral(curve)[1]:
+    curve(t) is an integer iff D divides it."""
     for t in range(1, a):
         acc = 0
         for n in nums:
@@ -181,8 +173,8 @@ def _numerators(curve: RationalPoly, a: int):
 
 def _denominators(curve: RationalPoly, a: int):
     """The reduced denominator D // gcd(num, D) of curve(t) for t = 1, ..., a - 1."""
-    den = curve._integral[0]
-    return (den // gcd(num, den) for num in _numerators(curve, a))
+    den, nums = _integral(curve)
+    return (den // gcd(num, den) for num in _numerators(nums, a))
 
 
 def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:

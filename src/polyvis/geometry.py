@@ -153,39 +153,33 @@ def blocks_to_csv(hits, path) -> None:
             w.writerow([h.corner.a, h.corner.b])
 
 
-def radius_to_visible(
-    family: PolyFamily,
-    origin: LatticePoint,
-    max_layers: int = DEFAULT_MAX_LAYERS,
-    cache: ProfileCache | None = None,
-) -> RadiusResult:
+def _ring(origin: LatticePoint, k: int) -> list[tuple[int, int]]:
+    """Ring k of origin (x, y): column x+k and row y+k of [x, x+k] x [y, y+k], which rings 0 .. k tile."""
+    x, y = origin
+    return [(x + k, y + j) for j in range(k + 1)] + [(x + i, y + k) for i in range(k)]
+
+
+def radius_to_visible(family: PolyFamily, origin: LatticePoint, max_layers: int = DEFAULT_MAX_LAYERS) -> RadiusResult:
     """Chebyshev distance from origin to the nearest visible point above and to the right.
 
-    Ring k is the part of [x, x+k] x [y, y+k] outside [x, x+k-1] x
-    [y, y+k-1]: column x+k and row y+k. distance is the first k whose ring
-    holds a visible point; 0 means the origin itself is visible, -1 that
-    no ring up to max_layers does. The rings reach max(x, y) + max_layers,
-    which a given cache, of this family, must cover with its bound.
+    distance is the first k whose ring holds a visible point; 0 means the
+    origin itself is visible, -1 that no ring up to max_layers does.
     """
-    x, y = origin.a, origin.b
-    reach = max(x, y) + max_layers
-    if cache is None:
-        cache = ProfileCache(family, reach)
-    elif cache.family != family:
-        raise ValueError(f"the cache holds {cache.family.spec}, not {family.spec}")
-    elif cache.bound < reach:
-        raise ValueError(f"the rings reach {reach}, past the cache bound {cache.bound}")
+    if max_layers < 0:
+        raise ValueError(f"max_layers must be >= 0, got {max_layers}")
+    cache = ProfileCache(family, max(origin) + max_layers)
     for k in range(max_layers + 1):
-        ring = [(x + k, y + j) for j in range(k + 1)] + [(x + i, y + k) for i in range(k)]
-        if any(cache.is_visible(a, b) for a, b in ring):
+        if any(cache.is_visible(a, b) for a, b in _ring(origin, k)):
             return RadiusResult(origin, k)
     return RadiusResult(origin, -1)
 
 
 def find_point_with_radius(family: PolyFamily, region: Region, r: int) -> LatticePoint | None:
-    """First point in scan order whose radius_to_visible is exactly r.
+    """First point in scan order whose radius is exactly r.
 
-    For r >= 1 the candidates are the corners of all-invisible r x r blocks.
+    For r >= 1 the candidates are the corners of all-invisible r x r blocks,
+    whose rings 0 .. r-1 the block scan has cleared, so only ring r is read.
+    For r = 0, ring 0 is the point itself.
     """
     cache = ProfileCache(family, region.grown(r).extent)
     if r == 0:
@@ -193,7 +187,7 @@ def find_point_with_radius(family: PolyFamily, region: Region, r: int) -> Lattic
         candidates = (LatticePoint(i, j) for i in xs for j in ys)
     else:
         candidates = (hit.corner for hit in _iter_blocks(cache, r, region.grown(r - 1)))
-    return next((p for p in candidates if radius_to_visible(family, p, r, cache).distance == r), None)
+    return next((p for p in candidates if any(cache.is_visible(a, b) for a, b in _ring(p, r))), None)
 
 
 # The 2x2 invisible-block survey bundled for the `reproduce` command: one row

@@ -138,7 +138,8 @@ class ProfileCache:
     bound is the largest b, and the largest column, that the caller reads.
     minimal_moduli(a) is the divisibility-minimal set of the m_{a,t}, t < a,
     cut to [1, bound]: a modulus above the bound marks no b the caller
-    reads and is never produced, so is_visible refuses b > bound. Censuses,
+    reads and is never produced, so is_visible refuses b > bound. Columns
+    a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again.
     """
@@ -156,6 +157,8 @@ class ProfileCache:
     def value(self, x: int) -> int:
         got = self._values.get(x)
         if got is None:
+            if x < 1:  # every column read starts here, so a < 1 is refused once, on the miss
+                raise ValueError(f"column index must be >= 1, got {x}")
             got = self._values[x] = self.family.eval(x)
         return got
 
@@ -284,7 +287,10 @@ class ProfileCache:
         return tuple(p for p in self._smooth_primes(a) if la % p == 0)
 
     def is_visible(self, a: int, b: int) -> bool:
-        """Same verdict as module-level is_visible, via the minimal modulus set; b <= bound."""
-        if b > self.bound:
-            raise ValueError(f"b={b} is past the cache bound {self.bound}: its moduli are unknown")
+        """Same verdict as module-level is_visible, via the minimal modulus set; 1 <= b <= bound."""
+        if not 0 < b <= self.bound:
+            raise ValueError(
+                f"b must be >= 1, got {b}" if b < 1
+                else f"b={b} is past the cache bound {self.bound}: its moduli are unknown"
+            )
         return all(b % m != 0 for m in self.minimal_moduli(a))

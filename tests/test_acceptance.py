@@ -34,11 +34,11 @@ from polyvis import (
     is_visible_direct,
     parse_family,
     radius_to_visible,
+    subset_count,
     valuation_profile,
 )
-from polyvis.census import PRUNED_MODE, SUBSET_MODE
 from polyvis.cli import main
-from polyvis.geometry import BLOCK_SURVEY, DEFAULT_MAX_LAYERS, Region, survey_family
+from polyvis.geometry import BLOCK_SURVEY, Region, survey_family
 
 CORPUS = [parse_family(s) for s in ("1", "1,0", "1,1", "2,5", "1,0,1")]
 
@@ -151,8 +151,8 @@ def test_criterion_05_count_identity():
     for spec in ("1", "1,1", "2,3"):
         fam = parse_family(spec)
         for n in (5, 10, 15, 20):
-            subset = exact_count_ie(fam, n, SUBSET_MODE)
-            pruned = exact_count_ie(fam, n, PRUNED_MODE)
+            subset = subset_count(fam, n)
+            pruned = exact_count_ie(fam, n)
             brute = brute_count(fam, n)
             assert subset == pruned == brute, (spec, n, subset, pruned, brute)
             checked += 1
@@ -258,9 +258,9 @@ def test_criterion_10_radius_search():
     fam = parse_family("1")
     r22 = radius_to_visible(fam, LatticePoint(2, 2)).distance
     found = find_point_with_radius(fam, Region(2, 10, 2, 10), 1)
-    cache = ProfileCache(fam, 30 + DEFAULT_MAX_LAYERS)  # the rings radius_to_visible reads
+    cache = ProfileCache(fam, 30)
     zero_matches = all(
-        (radius_to_visible(fam, LatticePoint(a, b), cache=cache).distance == 0)
+        (radius_to_visible(fam, LatticePoint(a, b)).distance == 0)
         == cache.is_visible(a, b)
         for a in range(1, 31)
         for b in range(1, 31)

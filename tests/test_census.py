@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from polyvis import (
     DEGREE_CAP,
-    PRUNED_MODE,
-    SUBSET_MODE,
     PolyFamily,
     ResourceLimitError,
     brute_count,
@@ -23,6 +21,7 @@ from polyvis import (
     next_prime_above,
     parse_family,
     rho,
+    subset_count,
 )
 from polyvis import census, geometry, visibility
 from polyvis.arith import primes_up_to
@@ -61,16 +60,16 @@ def _modulus_scan_rows(family, n):
 def test_counting_methods_agree(family):
     sieve = _modulus_scan_rows(family, 12)
     for n in (1, 2, 3, 5, 8, 12):
-        assert exact_count_ie(family, n, SUBSET_MODE) == sieve[n - 1]
-        assert exact_count_ie(family, n, PRUNED_MODE) == sieve[n - 1]
+        assert subset_count(family, n) == sieve[n - 1]
+        assert exact_count_ie(family, n) == sieve[n - 1]
         assert brute_count(family, n) == sieve[n - 1]
 
 
 def test_counting_methods_agree_n20():
     for fam in (X, XSQ_X):
         sieve = _modulus_scan_rows(fam, 20)[-1]
-        assert exact_count_ie(fam, 20, SUBSET_MODE) == sieve
-        assert exact_count_ie(fam, 20, PRUNED_MODE) == sieve
+        assert subset_count(fam, 20) == sieve
+        assert exact_count_ie(fam, 20) == sieve
 
 
 def test_pruned_matches_sieve_locally(family):
@@ -457,6 +456,6 @@ def test_range_checks():
     with pytest.raises(ValueError):
         empirical_density(X, 0)
     with pytest.raises(ResourceLimitError):
-        exact_count_ie(X, 27, SUBSET_MODE)
+        subset_count(X, 27)
     with pytest.raises(ValueError):
-        exact_count_ie(X, 10, "fast")
+        subset_count(X, 0)

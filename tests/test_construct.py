@@ -232,7 +232,7 @@ def test_every_construct_result_is_verified(a, rest, count):
 )
 def test_integer_checks_match_the_fraction_values(a, b, skip, count):
     """verified and denominator_counterexamples, read in integers from
-    RationalPoly._integral, equal the same facts read from the Fraction
+    construct._integral, equal the same facts read from the Fraction
     RationalPoly.eval(t) at every t, and so does each reduced denominator."""
     ells = [next_prime_above(max(a, b))]
     while len(ells) < skip + count:

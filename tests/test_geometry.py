@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polyvis import (
     BLOCK_SURVEY,
-    PRUNED_MODE,
     BlockHit,
     LatticePoint,
     ProfileCache,
@@ -29,6 +28,7 @@ from polyvis import (
     scan_block_range,
     survey_family,
 )
+from polyvis import geometry
 from polyvis.geometry import multiples_mask
 
 from conftest import families
@@ -196,7 +196,7 @@ def test_fast_paths_match_is_visible_direct(case):
             if not any(any(col[j : j + size]) for col in truth[i : i + size])
         ]
     count = empirical_density(family, n).visible_count
-    assert count == exact_count_ie(family, n, PRUNED_MODE) == brute_count(family, n)
+    assert count == exact_count_ie(family, n) == brute_count(family, n)
 
 
 def test_block_csv(tmp_path):
@@ -246,19 +246,11 @@ def test_radius_examples():
     assert radius_to_visible(X, LatticePoint(2, 2), max_layers=0).distance == -1
 
 
-def test_radius_refuses_a_cache_short_of_its_rings():
-    """The rings of (13, 195) up to 5 layers reach 200; a cache bound below that is refused."""
-    assert radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 200)).distance == 2
-    with pytest.raises(ValueError, match="the rings reach 200, past the cache bound 199"):
-        radius_to_visible(XSQ_X, LatticePoint(13, 195), 5, ProfileCache(XSQ_X, 199))
-
-
-@pytest.mark.parametrize("cache_family", [X, parse_family("1,0"), parse_family("2,2,1")], ids=lambda f: f.spec)
-def test_radius_refuses_a_cache_of_another_family(cache_family):
-    """With a cache of P = x, (13, 195) on x^2 + x read radius 1 instead of 2."""
-    with pytest.raises(ValueError, match=f"the cache holds {cache_family.spec}, not 1,1"):
-        radius_to_visible(XSQ_X, LatticePoint(13, 195), cache=ProfileCache(cache_family, 10**4))
-    assert radius_to_visible(XSQ_X, LatticePoint(13, 195), cache=ProfileCache(XSQ_X, 10**4)).distance == 2
+@pytest.mark.parametrize("origin", [LatticePoint(5, 5), LatticePoint(1, 1)], ids=["5,5", "1,1"])
+def test_radius_refuses_negative_max_layers(origin):
+    """-1 layers once read distance -1 at (5, 5) and a cache-bound error at (1, 1)."""
+    with pytest.raises(ValueError, match="max_layers must be >= 0, got -1"):
+        radius_to_visible(X, origin, max_layers=-1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,7 +294,7 @@ def test_radius_is_chebyshev_distance_to_visible(family):
     for _ in range(120):
         x0, y0 = rng.randrange(1, 41), rng.randrange(1, 41)
         limit = rng.randrange(0, 7)
-        got = radius_to_visible(family, LatticePoint(x0, y0), max_layers=limit, cache=cache)
+        got = radius_to_visible(family, LatticePoint(x0, y0), max_layers=limit)
         assert got.distance == bfs_radius(cache, LatticePoint(x0, y0), limit)
         assert got.origin == LatticePoint(x0, y0)
 
@@ -320,7 +312,7 @@ def radius_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(radius_cases())
 def test_find_point_with_radius_is_first_point_of_radius_r(case):
-    """Block-corner candidates find the same point as a scan of every point."""
+    """Block-corner candidates find the same point as a BFS from every point."""
     family, region, r = case
     cache = ProfileCache(family, region.extent + r)
     expected = next(
@@ -328,11 +320,19 @@ def test_find_point_with_radius_is_first_point_of_radius_r(case):
             LatticePoint(i, j)
             for i in range(region.min_x, region.max_x + 1)
             for j in range(region.min_y, region.max_y + 1)
-            if radius_to_visible(family, LatticePoint(i, j), r, cache).distance == r
+            if bfs_radius(cache, LatticePoint(i, j), r) == r
         ),
         None,
     )
     assert find_point_with_radius(family, region, r) == expected
+
+
+def test_find_point_with_radius_reads_only_its_own_rings(monkeypatch):
+    """The search reads ring r of each block corner itself and never calls the pointwise oracle."""
+    monkeypatch.setattr(geometry, "radius_to_visible", lambda *a, **k: pytest.fail("radius_to_visible was called"))
+    assert find_point_with_radius(X, Region(2, 10, 2, 10), 1) == LatticePoint(2, 2)
+    assert find_point_with_radius(XSQ_X, Region(1, 20, 150, 200), 2) == LatticePoint(13, 195)
+    assert find_point_with_radius(X, Region(2, 4, 2, 4), 0) == LatticePoint(2, 3)
 
 
 def test_find_point_with_radius():

@@ -255,6 +255,26 @@ def test_profile_cache_refuses_b_past_its_bound():
         ProfileCache(XSQ_X, 0)
 
 
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda c: c.minimal_moduli(0), "column index must be >= 1, got 0"),
+        (lambda c: c.minimal_moduli(-3), "column index must be >= 1, got -3"),
+        (lambda c: c.lcm(0), "column index must be >= 1, got 0"),
+        (lambda c: c.prime_set(0), "column index must be >= 1, got 0"),
+        (lambda c: c.is_visible(-3, 5), "column index must be >= 1, got -3"),
+        (lambda c: c.is_visible(3, 0), "b must be >= 1, got 0"),
+        (lambda c: c.is_visible(3, -5), "b must be >= 1, got -5"),
+    ],
+    ids=["moduli-0", "moduli-neg", "lcm-0", "primes-0", "visible-a-neg", "visible-b-0", "visible-b-neg"],
+)
+def test_profile_cache_refuses_points_off_the_lattice(read, message):
+    """Column 0 once factorized the whole primorial, lcm(0) and prime_set(0) divided
+    by zero, and column -3 had no moduli, so (-3, 5) read visible."""
+    with pytest.raises(ValueError, match=message):
+        read(ProfileCache(XSQ_X, 50))
+
+
 def _full_scan(family, a, b):
     """Oracle: the column scan over every t < a, with no certificate first."""
     pa = family.eval(a)
