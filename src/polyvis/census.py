@@ -8,8 +8,8 @@ sum over them, from one term list per column (`_ie_terms`). Counts over
 which callers may share: a modulus above N marks no b <= N.
 
 The density constants are Euler products over primes p <= B of
-(1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p
-(`arith.count_roots_mod_p`) rather than enumerating the p residues.
+(1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
+of primes at once (`arith.frobenius_gcds`), rather than enumerating residues.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .arith import count_roots_mod_p, factorize, primes_up_to
+from .arith import factorize, frobenius_gcds, primes_up_to
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
 from .visibility import ProfileCache, is_visible_direct, modulus
@@ -143,30 +143,32 @@ def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None
     return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
 
 
-def rho(family: PolyFamily, p: int) -> int:
-    """rho_P(p): the number of residues x mod p with P(x) = 0 mod p, for a prime p.
+def rho(family: PolyFamily, primes: list[int]) -> list[int]:
+    """rho_P(p), the number of residues x mod p with P(x) = 0 mod p, for each prime p in primes.
 
-    P = x * Q, so the roots are x = 0 and the roots of Q, where Q's
-    coefficients are family.coeffs. The count is
-    count_roots_mod_p(Q) + [Q(0) != 0 mod p]: about log2(p) squarings of a
-    polynomial of degree < deg(P) instead of p evaluations of P.
+    P = x^(j+1) * Q0 with Q0(0) != 0, so rho_P(p) = deg gcd(Q0, x^p - x) + [Q0(0) != 0 mod p].
+    `arith.frobenius_gcds` finds those gcds with one exponentiation and one Euclid per
+    batch of primes; a Q0 of degree <= 1, as for x^3, needs neither.
     """
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    return count_roots_mod_p(family.coeffs, p) + (family.coeffs[0] % p != 0)
+    if any(p < 2 for p in primes):
+        raise ValueError(f"need primes >= 2, got {min(primes)}")
+    q = family.coeffs
+    q0 = q[next(i for i, c in enumerate(q) if c) :]
+    return [len(g) - 1 + (q0[0] % p != 0) for p, g in zip(primes, frobenius_gcds(q0, primes))]
 
 
 def constant_cp(family: PolyFamily, prime_bound: int) -> ConstantResult:
     """Truncation of prod_p (1 - rho_P(p)/p^2) at primes <= prime_bound.
 
-    One `rho` per prime, each by root counting over F_p. prime_bound may
-    not exceed PRIME_BOUND_CAP.
+    One `rho` call over all the primes, multiplied in ascending p. prime_bound
+    may not exceed PRIME_BOUND_CAP.
     Tail: |log shift from primes > B| <= deg(P) * sum_{m>B} 1/m^2 <= deg/(B-1).
     """
     check_prime_bound(prime_bound)
+    primes = primes_up_to(prime_bound)
     value = 1.0
-    for p in primes_up_to(prime_bound):
-        value *= 1.0 - rho(family, p) / (p * p)
+    for p, r in zip(primes, rho(family, primes)):
+        value *= 1.0 - r / (p * p)
     return ConstantResult(value, prime_bound, family.degree / (prime_bound - 1))
 
 

@@ -16,7 +16,7 @@ from polyvis import (
     valuation,
 )
 from polyvis import arith
-from polyvis.arith import count_roots_mod_p, roots_mod_p
+from polyvis.arith import frobenius_gcds, roots_mod_p
 
 
 def _trial_division_is_prime(n):
@@ -171,6 +171,12 @@ def _times_linear(poly, r):
     return [a - r * b for a, b in zip([0, *poly], [*poly, 0])]
 
 
+def count_roots_mod_p(poly, p):
+    """Q's distinct roots in F_p: deg gcd(Q, x^p - x), from frobenius_gcds as a batch of one."""
+    (g,) = frobenius_gcds(poly, [p])
+    return len(g) - 1
+
+
 def test_count_roots_mod_p_counts_distinct_roots():
     rng = random.Random(5)
     for p in (2, 3, 5, 7, 101, 2**31 - 1, 2**61 - 1):
@@ -269,3 +275,27 @@ def test_count_roots_mod_p_degree_drops_and_errors():
     assert count_roots_mod_p([1, 0, 1], 5) == 2
     with pytest.raises(ValueError):
         count_roots_mod_p([7, 14], 7)
+
+
+@pytest.mark.parametrize("batch", [arith._BATCH, 64])
+@pytest.mark.parametrize(
+    "poly",
+    [[1, 1, 1], [1, 2, 0, 3], [1, 3, 2**65], [3, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 7]],
+    ids=["x^2+x+1", "3x^3+2x^2+1", "2^65x^2+3x+1", "degree-15"],
+)
+def test_frobenius_gcds_widest_batch_equals_batches_of_one(monkeypatch, poly, batch):
+    """The last 64 primes <= 10^6 make the widest moduli a density run can reach, in one
+    batch at 64. A lane must hold the CRT sum of a batch's packed products: lanes sized for
+    a square alone gave x^2 + x + 1 wrong gcds at 30 of these primes."""
+    monkeypatch.setattr(arith, "_BATCH", batch)
+    primes = primes_up_to(10**6)[-64:]
+    assert frobenius_gcds(poly, primes) == [frobenius_gcds(poly, [p])[0] for p in primes]
+
+
+def test_frobenius_gcds_takes_primes_in_any_order():
+    poly = [1, 2, 0, 3]
+    primes = primes_up_to(400)
+    shuffled = random.Random(3).sample(primes, len(primes))
+    by_prime = dict(zip(primes, frobenius_gcds(poly, primes)))
+    assert frobenius_gcds(poly, shuffled) == [by_prime[p] for p in shuffled]
+    assert frobenius_gcds(poly, [7, 7, 5]) == [by_prime[7], by_prime[7], by_prime[5]]

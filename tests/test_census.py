@@ -23,7 +23,7 @@ from polyvis import (
     rho,
     subset_count,
 )
-from polyvis import census, geometry, visibility
+from polyvis import arith, census, geometry, visibility
 from polyvis.arith import primes_up_to
 
 X = parse_family("1")
@@ -266,17 +266,18 @@ def test_coprimality_count_degree_16_factors_only_n_smooth_parts(monkeypatch):
 
 
 def test_rho_values():
-    assert rho(X, 5) == 1
-    assert rho(XSQ_X, 7) == 2
-    assert rho(XSQ_X, 2) == 2
-    assert rho(TWOX2_3X, 2) == 1
+    assert rho(X, [5]) == [1]
+    assert rho(XSQ_X, [2, 7]) == [2, 2]
+    assert rho(TWOX2_3X, [2]) == [1]
+    assert rho(X, []) == []
     with pytest.raises(ValueError):
-        rho(X, 1)
+        rho(X, [1])
+    with pytest.raises(ValueError):
+        rho(X, [2, 3, 1, 5])
 
 
 def test_rho_bounds(family):
-    for p in primes_up_to(100):
-        r = rho(family, p)
+    for r in rho(family, primes_up_to(100)):
         assert 1 <= r <= family.degree  # x = 0 is always a root
 
 
@@ -284,19 +285,47 @@ def _rho_by_enumeration(family, p):
     return sum(1 for x in range(p) if family.eval(x) % p == 0)
 
 
-def test_rho_vector_path_matches_loop(family):
-    """rho agrees with the enumeration oracle. The name is from the numpy path
-    that rho once had; it now counts roots over F_p."""
-    for p in (*primes_up_to(200), 1031, 1033, 2003):
-        assert rho(family, p) == _rho_by_enumeration(family, p)
+def test_rho_matches_enumeration(family):
+    """rho over one list of primes, batched, agrees with the enumeration oracle at each."""
+    primes = [*primes_up_to(200), 1031, 1033, 2003]
+    assert rho(family, primes) == [_rho_by_enumeration(family, p) for p in primes]
 
 
 @pytest.mark.parametrize("spec", ["10000000000000000000,1", f"{2**65},3,1"])
 def test_rho_big_coefficients_match_enumeration(spec):
     """Coefficients past int64 are reduced mod p before the roots are counted."""
     family = parse_family(spec)
-    for p in (*primes_up_to(300), 1031):
-        assert rho(family, p) == _rho_by_enumeration(family, p)
+    primes = [*primes_up_to(300), 1031]
+    assert rho(family, primes) == [_rho_by_enumeration(family, p) for p in primes]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "1,0,0", "1,0,0,0", "1,0,2,0",  # P = x^(j+1) * Q0: only Q0's roots are counted
+        "6,0,0,35", "210,1,1,1", "30,7,0,0,11",  # leading coefficients with small prime factors
+        f"{2**65},3,1",
+        "7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3",  # degree 16
+    ],
+)
+def test_rho_over_every_prime_below_3000_matches_enumeration(spec):
+    """One rho call over the primes <= 3000 crosses many batch boundaries, and the
+    primes that divide the leading coefficient each leave their batch."""
+    family = parse_family(spec)
+    primes = primes_up_to(3000)
+    assert rho(family, primes) == [_rho_by_enumeration(family, p) for p in primes]
+
+
+def test_rho_of_an_x_power_times_a_constant_runs_no_frobenius(monkeypatch):
+    """x^3 and x^4 have Q0 = 1 once x^j is stripped: one root, 0, at every prime."""
+
+    def fail(*args):
+        raise AssertionError("no polynomial arithmetic mod Q expected")
+
+    monkeypatch.setattr(arith, "_kronecker", fail)
+    primes = primes_up_to(20_000)
+    for spec in ("1,0,0", "1,0,0,0"):
+        assert rho(parse_family(spec), primes) == [1] * len(primes)
 
 
 _PRIMES_BELOW_3000 = primes_up_to(3000)
@@ -318,22 +347,23 @@ def _family_and_prime(draw):
 @settings(max_examples=150, deadline=None)
 @given(_family_and_prime())
 def test_rho_matches_enumeration_property(family_and_prime):
+    """p alone, and p last in a list with the primes below it, so that it shares a batch."""
     family, p = family_and_prime
-    assert rho(family, p) == _rho_by_enumeration(family, p)
+    below = _PRIMES_BELOW_3000[: _PRIMES_BELOW_3000.index(p) + 1][-40:]
+    assert rho(family, [p]) == [_rho_by_enumeration(family, p)]
+    assert rho(family, below)[-1] == _rho_by_enumeration(family, p)
 
 
 def test_rho_closed_forms_past_2_31():
     """x(x^2+1) has the roots +-i when p = 1 mod 4; x(x^2+x+1) has the two
     primitive cube roots of unity when p = 1 mod 3. Enumeration is out of reach."""
-    primes = [2**61 - 1, 2**89 - 1, 2**127 - 1, next_prime_above(10**40)]
-    p = 2**31
+    primes = [2**31]
     for _ in range(8):
-        p = next_prime_above(p)
-        primes.append(p)
+        primes.append(next_prime_above(primes[-1]))
+    primes = [*primes[1:], 2**61 - 1, 2**89 - 1, 2**127 - 1, next_prime_above(10**40)]
     assert {p % 4 for p in primes} == {1, 3} and {p % 3 for p in primes} == {1, 2}
-    for p in primes:
-        assert rho(parse_family("1,0,1"), p) == 1 + 2 * (p % 4 == 1)
-        assert rho(parse_family("1,1,1"), p) == 1 + 2 * (p % 3 == 1)
+    assert rho(parse_family("1,0,1"), primes) == [1 + 2 * (p % 4 == 1) for p in primes]
+    assert rho(parse_family("1,1,1"), primes) == [1 + 2 * (p % 3 == 1) for p in primes]
 
 
 def test_constant_cp():
