@@ -22,8 +22,8 @@ _LAZY = {
          "construct_curve_bundle construct_multi_prime construct_visible valuation_profile"),
         ("errors", "ResourceLimitError"),
         ("polyfam", "DEGREE_CAP LatticePoint PolyFamily parse_family"),
-        ("visibility", "ColumnProfile ProfileCache VisibilityVerdict column_profile gcd_p is_visible "
-         "is_visible_direct lcm_criterion modulus"),
+        ("visibility", "VisibilityVerdict gcd_p is_visible is_visible_direct lcm_criterion lcm_p modulus"),
+        ("columns", "ColumnProfile ProfileCache column_profile"),
         ("census", "CensusResult ConstantResult brute_count constant_cp constant_cpq constant_cpq_star "
          "coprimality_count density_rows empirical_density exact_count_ie rho subset_count"),
         ("geometry", "BLOCK_SURVEY BlockHit RadiusResult Region blocks_to_csv classify_region "

@@ -9,7 +9,7 @@ which callers may share: a modulus above N marks no b <= N.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
-of primes at once (`arith.frobenius_gcds`), rather than enumerating residues.
+of primes at once (`roots.frobenius_gcds`), rather than enumerating residues.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .arith import factorize, frobenius_gcds, primes_up_to
+from .arith import factorize, primes_up_to
+from .columns import ProfileCache
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
-from .visibility import ProfileCache, is_visible_direct, modulus
+from .roots import frobenius_gcds, split_x_power
+from .visibility import is_visible_direct, modulus
 
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
@@ -147,13 +149,12 @@ def rho(family: PolyFamily, primes: list[int]) -> list[int]:
     """rho_P(p), the number of residues x mod p with P(x) = 0 mod p, for each prime p in primes.
 
     P = x^(j+1) * Q0 with Q0(0) != 0, so rho_P(p) = deg gcd(Q0, x^p - x) + [Q0(0) != 0 mod p].
-    `arith.frobenius_gcds` finds those gcds with one exponentiation and one Euclid per
+    `roots.frobenius_gcds` finds those gcds with one exponentiation and one Euclid per
     batch of primes; a Q0 of degree <= 1, as for x^3, needs neither.
     """
     if any(p < 2 for p in primes):
         raise ValueError(f"need primes >= 2, got {min(primes)}")
-    q = family.coeffs
-    q0 = q[next(i for i, c in enumerate(q) if c) :]
+    _, q0 = split_x_power(family.coeffs)
     return [len(g) - 1 + (q0[0] % p != 0) for p, g in zip(primes, frobenius_gcds(q0, primes))]
 
 

@@ -28,11 +28,11 @@ left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 64 bits, at most 4 of them for --multi. blocks --out without --all, and
 --rows with --target illustration or naming no survey row, are bad input.
 
-Each command pays only for its own work. Every command loads polyfam,
-visibility, arith and errors; density and count add census; blocks,
-classify, radius and reproduce --target table1 add geometry; construct
-and reproduce --target illustration add construct. density counts, and
-its --out rows too, by the paper's exact double sum over one ProfileCache.
+Each command pays only for its own work. All load polyfam, errors and
+visibility (one P(a), one gcd, at most one scan). construct and the
+illustration add construct and arith. The others but visible add arith,
+roots, columns and census (density and count: the paper's exact double sum
+over one ProfileCache) or geometry; csv loads with geometry or --out.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """
@@ -40,7 +40,6 @@ is opened before any work, after the input checks.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -48,7 +47,7 @@ import time
 
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
-from .visibility import ProfileCache, gcd_p, is_visible, is_visible_direct, lcm_criterion
+from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 _COUNT_MODES = ("oracle", "pruned", "subsets")
 DEFAULT_N_CAP = 10_000
@@ -138,6 +137,7 @@ def cmd_visible(args):
 
 def cmd_density(args):
     from . import census
+    from .columns import ProfileCache
 
     fam = parse_family(args.poly)
     n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
@@ -145,6 +145,7 @@ def cmd_density(args):
     _check_n(args.n, n_cap)
     cache = ProfileCache(fam, args.n)
     if args.out:
+        import csv
         with open(args.out, "w", newline="") as fh:  # opened first: an unwritable path fails at once
             rows = census.density_rows(fam, args.n, cache)
             w = csv.writer(fh)

@@ -16,8 +16,8 @@ from collections import deque, namedtuple
 from functools import reduce
 from itertools import compress
 
+from .columns import ProfileCache
 from .polyfam import LatticePoint, PolyFamily, parse_family
-from .visibility import ProfileCache
 
 DEFAULT_MAX_LAYERS = 200
 

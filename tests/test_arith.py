@@ -15,8 +15,8 @@ from polyvis import (
     primes_up_to,
     valuation,
 )
-from polyvis import arith
-from polyvis.arith import frobenius_gcds, roots_mod_p
+from polyvis import roots
+from polyvis.roots import frobenius_gcds, roots_mod_p
 
 
 def _trial_division_is_prime(n):
@@ -211,8 +211,9 @@ def test_roots_mod_p_finds_every_root():
                 continue
             expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
             assert roots_mod_p(poly, p) == expected
-    with pytest.raises(ValueError):
-        roots_mod_p([7, 14], 7)
+    for zero in ([7, 14], [0, 0, 7], [0, 0]):  # zero mod 7, with and without a power of x
+        with pytest.raises(ValueError):
+            roots_mod_p(zero, 7)
 
 
 def test_roots_mod_p_every_root_set_at_small_primes():
@@ -230,16 +231,27 @@ def test_roots_mod_p_every_root_set_at_small_primes():
                     assert roots_mod_p(poly, p) == expected, (p, roots + repeated)
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("q0", [[1], [6, 1], [1, 1, 1], [30, 7, 0, 11]], ids=["1", "x+6", "x^2+x+1", "11x^3+7x+30"])
+def test_roots_mod_p_of_a_power_of_x_times_q0_match_enumeration(j, q0):
+    """x^j * Q0 has the root 0 and the roots of Q0, over every prime <= 400. Q0(0) = 6
+    and 30 make 0 a root of Q0 as well at 2, 3 and 5, where it is listed once."""
+    poly = [0] * j + q0
+    for p in primes_up_to(400):
+        expected = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p == 0]
+        assert roots_mod_p(poly, p) == expected, p
+
+
 def test_roots_mod_p_raises_to_positive_powers_only(monkeypatch):
     """_power_mod is defined for e >= 1. At p = 2 the split exponent (p - 1)/2 is 0,
     so x^2 + x = x^p - x must be answered without splitting; so must x^3 - x at p = 3."""
-    power_mod = arith._power_mod
+    power_mod = roots._power_mod
 
     def checked(q, p, s, e):
         assert e >= 1, (q, p, s, e)
         return power_mod(q, p, s, e)
 
-    monkeypatch.setattr(arith, "_power_mod", checked)
+    monkeypatch.setattr(roots, "_power_mod", checked)
     assert roots_mod_p([1], 2) == []
     assert roots_mod_p([0, 1], 2) == [0]
     assert roots_mod_p([1, 1], 2) == [1]
@@ -277,7 +289,7 @@ def test_count_roots_mod_p_degree_drops_and_errors():
         count_roots_mod_p([7, 14], 7)
 
 
-@pytest.mark.parametrize("batch", [arith._BATCH, 64])
+@pytest.mark.parametrize("batch", [roots._BATCH, 64])
 @pytest.mark.parametrize(
     "poly",
     [[1, 1, 1], [1, 2, 0, 3], [1, 3, 2**65], [3, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 7]],
@@ -287,7 +299,7 @@ def test_frobenius_gcds_widest_batch_equals_batches_of_one(monkeypatch, poly, ba
     """The last 64 primes <= 10^6 make the widest moduli a density run can reach, in one
     batch at 64. A lane must hold the CRT sum of a batch's packed products: lanes sized for
     a square alone gave x^2 + x + 1 wrong gcds at 30 of these primes."""
-    monkeypatch.setattr(arith, "_BATCH", batch)
+    monkeypatch.setattr(roots, "_BATCH", batch)
     primes = primes_up_to(10**6)[-64:]
     assert frobenius_gcds(poly, primes) == [frobenius_gcds(poly, [p])[0] for p in primes]
 

@@ -23,8 +23,9 @@ from polyvis import (
     rho,
     subset_count,
 )
-from polyvis import arith, census, geometry, visibility
+from polyvis import census, columns, geometry, roots, visibility
 from polyvis.arith import primes_up_to
+from polyvis.roots import roots_mod_p
 
 X = parse_family("1")
 XSQ = parse_family("1,0")
@@ -259,7 +260,7 @@ def test_coprimality_count_degree_16_factors_only_n_smooth_parts(monkeypatch):
         factorized.append(m)
         return factorize(m)
 
-    monkeypatch.setattr(visibility, "factorize", spy)
+    monkeypatch.setattr(columns, "factorize", spy)
     assert coprimality_count(family, n) == expected
     primorial = math.prod(primes_up_to(n))
     assert factorized and all(primorial % m == 0 for m in factorized)
@@ -317,15 +318,17 @@ def test_rho_over_every_prime_below_3000_matches_enumeration(spec):
 
 
 def test_rho_of_an_x_power_times_a_constant_runs_no_frobenius(monkeypatch):
-    """x^3 and x^4 have Q0 = 1 once x^j is stripped: one root, 0, at every prime."""
+    """x^3 and x^4 have Q0 = 1 once x^j is stripped: one root, 0, at every prime.
+    roots_mod_p strips x^j the same way (`roots.split_x_power`)."""
 
     def fail(*args):
         raise AssertionError("no polynomial arithmetic mod Q expected")
 
-    monkeypatch.setattr(arith, "_kronecker", fail)
+    monkeypatch.setattr(roots, "_kronecker", fail)
     primes = primes_up_to(20_000)
     for spec in ("1,0,0", "1,0,0,0"):
         assert rho(parse_family(spec), primes) == [1] * len(primes)
+        assert all(roots_mod_p(parse_family(spec).coeffs, p) == [0] for p in primes[:100])
 
 
 _PRIMES_BELOW_3000 = primes_up_to(3000)

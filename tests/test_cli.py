@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, construct, find_all_blocks, geometry, modulus, parse_family, visibility
+from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family
 from polyvis.arith import factorize
 from polyvis.cli import main
 from polyvis.geometry import Region
@@ -114,7 +114,7 @@ def test_density_factorizes_each_column_once(monkeypatch, out):
         calls.append(m)
         return factorize(m)
 
-    monkeypatch.setattr(visibility, "factorize", spy)
+    monkeypatch.setattr(columns, "factorize", spy)
     n = 400
     _density_payload("--poly", "1,1", "--n", str(n), *(("--out", os.devnull) if out else ()))
     assert 0 < len(calls) <= n
@@ -649,19 +649,20 @@ def test_no_command_loads_numpy(argv):
 _LEAN = {"dataclasses", "inspect", "polyvis.construct"}
 _QUERY = {"polyvis.census", "polyvis.geometry"}
 _INTEGER = {"fractions", "decimal"}  # only the curve construction and the rational oracle need them
+_COLUMNS = {"polyvis.roots", "polyvis.columns", "csv"}  # whole columns, and CSV output
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        ((), _LEAN | _QUERY | _INTEGER),
-        (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY | _INTEGER),
-        (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY | _INTEGER),
+        ((), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
+        (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
+        (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
         (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | {"polyvis.geometry"}),
         (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.geometry"}),
         (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | _INTEGER | {"polyvis.geometry"}),
-        (("construct", "--point", "3,5"), _QUERY),
-        (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY),
+        (("construct", "--point", "3,5"), _QUERY | _COLUMNS),
+        (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY | _COLUMNS),
         (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | _INTEGER | {"polyvis.census"}),
         (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.census"}),
         (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | _INTEGER | {"polyvis.census"}),
@@ -673,8 +674,16 @@ def test_commands_load_only_their_modules(argv, unloaded):
     construct and the illustration load polyvis.construct, the query
     commands leave the census and geometry modules unloaded, the
     geometry commands leave census unloaded, and the integer commands
-    leave fractions and decimal unloaded."""
+    leave fractions and decimal unloaded. visible and construct load
+    neither the root kernel, the column search nor csv, and visible not
+    even arith."""
     assert not _modules_loaded_by(argv) & unloaded
+
+
+@pytest.mark.parametrize("argv, extra", [((), set()), (("construct", "--point", "3,5"), {"polyvis.construct", "polyvis.arith"})])
+def test_start_up_loads_only_the_single_point_layer(argv, extra):
+    loaded = {m for m in _modules_loaded_by(argv) if m.split(".")[0] == "polyvis"}
+    assert loaded == {"polyvis", "polyvis.cli", "polyvis.errors", "polyvis.polyfam", "polyvis.visibility"} | extra
 
 
 _STAR_PROBE = """

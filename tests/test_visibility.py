@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyvis import visibility
+from polyvis import columns, visibility
 from polyvis import (
     DEGREE_CAP,
     LatticePoint,
@@ -17,6 +17,7 @@ from polyvis import (
     is_visible_direct,
     lcm_criterion,
     lcm_many,
+    lcm_p,
     modulus,
     parse_family,
 )
@@ -122,12 +123,22 @@ def test_lcm_criterion_never_factorizes(monkeypatch):
         factorized.append(n)
         return factorize(n)
 
-    monkeypatch.setattr(visibility, "factorize", spy)
+    monkeypatch.setattr(columns, "factorize", spy)
     family = parse_family("3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1")
     assert lcm_criterion(family, LatticePoint(100_000, 99_991))  # gcd(P(a), b) = 1
     # v_2(P(100000)) = 5 but v_2(P(1)) = v_2(4) = 2, so 2 divides L_P(a)
     assert not lcm_criterion(family, LatticePoint(100_000, 99_990))
     assert factorized == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=families(), a=st.integers(1, 60))
+def test_lcm_p_is_p_a_over_the_prefix_gcd(family, a):
+    """lcm_p is P(a) // gcd(P(1), ..., P(a)) by brute force, and `visibility`
+    still names the `columns` objects."""
+    assert lcm_p(family, a) == family.eval(a) // math.gcd(*(family.eval(t) for t in range(1, a + 1)))
+    assert visibility.ProfileCache is columns.ProfileCache
+    assert (visibility.column_profile, visibility.ColumnProfile) == (column_profile, columns.ColumnProfile)
 
 
 def test_minimal_moduli_block_the_same_points(family):
@@ -234,6 +245,10 @@ def _gcd_scan_minimal(family, a, bound):
 @example(family=X, bound=1000, columns=[997])  # P = x at a prime: the one class (0, 1) holds every t < a
 @example(family=X, bound=800, columns=[720])  # P = x at a column with 30 divisors
 @example(family=XSQ_X, bound=1, columns=[1, 2])  # P(1) = 2 has a prime above the bound, and column 1 no t
+# Degree 4 past column 1000, where C(a) | P(t) leaves one candidate: C(1011) = 38272753 keeps
+# 1 of 397, the witness of 253; x^4 at 2 * 601 has C = 601^4 and keeps t = 601, of modulus 16.
+@example(family=parse_family("1,1,0,0"), bound=300, columns=[1011])
+@example(family=parse_family("1,0,0,0"), bound=600, columns=[1202])
 # Q = x^p - x mod p has every residue as a root: x^2 + x at p = 2, and x^3 + 2x at p = 3.
 @example(family=parse_family("1,1,0"), bound=400, columns=list(range(1, 401)))
 @example(family=parse_family("1,0,2,0"), bound=400, columns=list(range(1, 401)))
@@ -344,4 +359,4 @@ def test_degree_one_column_evaluates_few_t(monkeypatch, a):
     primes = factorize(a)
     assert cache.minimal_moduli(a) == tuple(p for p, _ in primes)
     divisors = math.prod(e + 1 for _, e in primes)
-    assert len(set(calls)) <= 2 + (visibility._CLASS_RUN - 1) * divisors
+    assert len(set(calls)) <= 2 + (columns._CLASS_RUN - 1) * divisors
