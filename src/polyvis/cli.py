@@ -32,7 +32,7 @@ Each command pays only for its own work. All load polyfam, errors and
 visibility (one P(a), one gcd, at most one scan). construct and the
 illustration add construct and arith. The others but visible add arith,
 roots, columns and census (density and count: the paper's exact double sum
-over one ProfileCache) or geometry; csv loads with geometry or --out.
+over one ProfileCache) or geometry; csv loads only with density --out.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """

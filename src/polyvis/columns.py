@@ -2,8 +2,9 @@
 scan of one column (`column_profile`)."""
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
+from operator import or_
 
 from .arith import factorize, primes_up_to, valuation
 from .polyfam import PolyFamily
@@ -39,9 +40,6 @@ def column_profile(family: PolyFamily, a: int) -> ColumnProfile:
     return ColumnProfile(a, pairs, _minimal_by_divisibility(moduli), primes)
 
 
-_CLASS_RUN = 8  # t per candidate class at which ProfileCache stops refining by CRT
-
-
 @lru_cache(maxsize=4)
 def _primorial(bound: int) -> int:
     """Product of the primes <= bound, multiplied pairwise: a product tree, not a quadratic fold."""
@@ -73,7 +71,10 @@ class ProfileCache:
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
         self._primes: dict[int, list[int]] = {}
-        self._root_classes: dict[tuple[int, int], tuple[float, list[tuple[int, int]]]] = {}
+        self._class_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._witness: dict[tuple[int, int], int] = {}
+        self._combed: dict[tuple[tuple[int, int], ...], int] = {}  # the same bitsets, by their classes
+        self._all = (1 << bound + 1) - 1  # the witness bitsets hold t < reach = _all.bit_length()
 
     def value(self, x: int) -> int:
         got = self._values.get(x)
@@ -90,13 +91,14 @@ class ProfileCache:
         return got
 
     def _moduli(self, a: int) -> tuple[int, ...]:
-        """minimal_moduli(a): at most one gcd per candidate t (`_candidates`), not per t < a.
+        """minimal_moduli(a): ANDs of witness bitsets, not a gcd per t < a.
 
-        Column 1 has no earlier columns. Otherwise only the bound-smooth part of P(a) is
-        factorized. The rest, C(a), made of primes above the bound, divides P(a)/m for every
-        m <= bound, so a t gets its gcd only if C(a) | P(t). When bound >= a those primes exceed
-        a, and C(a) | P(t) = t Q(t), Q = P/x, forces C(a) | (Q(a) - Q(t))/(a - t) <= Q(a) - Q(a-1)
-        (nonnegative coefficients): a larger C(a) leaves the column with no modulus <= bound.
+        Only P(a)'s bound-smooth part, prod p^e, is factorized. The t < a split prime by prime,
+        largest p^e first, by min(e, v_p(P(t))) (`_witnesses`): each leaf is one m_{a,t}, kept if
+        the rest of P(a), C(a), divides P(t) for one of its t (else m_{a,t} > bound). A branch
+        stops once m passes the bound or a smaller m found divides it. When bound >= a the primes
+        of C(a) exceed a, and C(a) | P(t) = t Q(t), Q = P/x, forces C(a) | (Q(a) - Q(t))/(a - t)
+        <= Q(a) - Q(a-1) (nonnegative coefficients): a larger C(a) leaves no modulus <= bound.
         """
         if a == 1:
             return ()
@@ -105,11 +107,41 @@ class ProfileCache:
         rough = pa // prod(p**e for p, e in powers)
         if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
             return ()
-        candidates = self._candidates(a, powers)
-        if rough > 1:
-            candidates = [t for t in candidates if self.value(t) % rough == 0]
-        mods = {pa // gcd(pa, self.value(t)) for t in candidates}
-        return _minimal_by_divisibility({m for m in mods if m <= self.bound})
+        if a > self._all.bit_length():  # a cache read past its bound: the bitsets must hold t = a - 1
+            self._all, self._class_cache, self._witness, self._combed = (1 << a) - 1, {}, {}, {}
+        powers.sort(key=lambda pe: pe[0] ** pe[1], reverse=True)
+        bound, cached, found, leaves = self.bound, self._witness.get, [], []
+        stack = [(0, 1, (1 << a) - 2)]  # t in [1, a)
+        while stack:
+            i, m, mask = stack.pop()
+            if found and any(m % k == 0 for k in found):
+                continue
+            if i == len(powers):  # only when C(a) > 1
+                leaves.append((m, mask))
+                continue
+            p, e = powers[i]
+            children, above = [], 0
+            for f in range(e, -1, -1):  # m takes p^(e - f): the t left have v_p(P(t)) = f, or >= e
+                if m > bound:
+                    break
+                held = mask & (cached((p, f)) or self._witnesses(p, f)) if f else mask
+                if held != above:
+                    if i + 1 < len(powers) or rough > 1:
+                        children.append((i + 1, m, held ^ above))
+                    else:  # every t left witnesses m or a multiple of it
+                        found.append(m)
+                        break
+                if held == mask:
+                    break
+                above, m = held, m * p
+            stack += reversed(children)  # smaller m first
+        if leaves:  # one remainder per t, down to P(t) < P(a)/bound, where m_{a,t} passes the bound
+            union, kept = reduce(or_, (mask for _, mask in leaves)), 0
+            while union and (v := self.value(t := union.bit_length() - 1)) * bound >= pa:
+                kept |= (v % rough == 0) << t
+                union ^= 1 << t
+            found = [m for m, mask in leaves if mask & kept]
+        return _minimal_by_divisibility(set(found))
 
     def _smooth_primes(self, a: int) -> list[int]:
         """The primes <= bound dividing P(a), ascending; one factorize per column."""
@@ -117,78 +149,67 @@ class ProfileCache:
             self._primes[a] = [p for p, _ in factorize(gcd(self.value(a), _primorial(self.bound)))]
         return self._primes[a]
 
-    def _candidates(self, a: int, powers: list[tuple[int, int]]) -> set[int]:
-        """t < a holding a witness of every modulus <= bound of column a; powers are
-        the prime powers p^e of P(a) with p <= bound.
+    def _witnesses(self, p: int, f: int) -> int:
+        """Bit t set for each t in [0, reach) with p^f | P(t): `_classes` combed out by doubling.
 
-        m is a multiple of m_{a,t} exactly when d = P(a)/m divides P(t). So for
-        m = prod p^j <= bound, a witness t has p^(e-j) | P(t) for every p and lies
-        in the CRT intersection of `_classes(p, e - j)`. The search branches on j
-        prime by prime, largest p^e first, with the product of the p^j at most
-        bound, so every m <= bound has its branch. A branch stops refining once
-        its classes hold _CLASS_RUN t each on average, and they join the
-        candidates. A class whose least member is >= a is dropped: refining only
-        raises it. A branch that refines every prime with larger classes needs
-        one t: if d | P(t) for their least member t, t alone joins, since then
-        m_{a,t} | m, and so m_{a,t} = m when m is minimal.
+        Kept, once per set of classes, while their least modulus q has q^2 <= reach or
+        q reach <= K^2, K the columns read: the kept bitsets hold about deg P reach^1.5 + K^2
+        bits, and a sparser set recurs in few columns. Singular roots make many p^f share a set.
         """
-        pool: set[tuple[int, int]] = set()
-        powers = sorted(powers, key=lambda pe: pe[0] ** pe[1], reverse=True)
-        stack = [(0, 1, [(0, 1)], 1.0)]
-        while stack:
-            i, m, classes, share = stack.pop()
-            if a * share <= _CLASS_RUN * len(classes):
-                pool.update(classes)
-                continue
-            if i == len(powers):
-                t = min(r or q for r, q in classes)
-                pool.update([(t, a)] if self.value(t) % (self.value(a) // m) == 0 else classes)
-                continue
-            p, e = powers[i]
-            pj = 1
-            for j in range(e + 1):
-                if m * pj > self.bound:
-                    break
-                if j == e:
-                    stack.append((i + 1, m * pj, classes, share))
-                else:
-                    density, cls = self._classes(p, e - j)
-                    merged = [
-                        (x, q * q2)
-                        for r, q in classes
-                        for s, q2 in cls
-                        if (x := r + q * ((s - r) * pow(q, -1, q2) % q2)) < a
-                    ]
-                    if merged:
-                        stack.append((i + 1, m * pj, merged, share * density))
-                pj *= p
-        return {t for r, q in pool for t in range(r or q, a, q)}
-
-    def _classes(self, p: int, e: int) -> tuple[float, list[tuple[int, int]]]:
-        """Residue classes (r, q), q a power of p, holding every t >= 0 with p^e | P(t),
-        and the share of the integers they hold.
-
-        A root r of P mod p with P'(r) a unit mod p lifts to one root mod p^e
-        (Hensel), kept mod the first power of p past the bound: that class holds
-        at most one t <= bound. A root with P'(r) = 0 mod p stays a class mod p,
-        a superset of its lifts. The roots mod p are found once, for e = 1.
-        """
-        got = self._root_classes.get((p, e))
+        got = self._witness.get((p, f))
         if got is None:
-            coeffs = self.family.coeffs
-            classes = []
-            for r in [r for r, _ in self._classes(p, 1)[1]] if e > 1 else {0, *roots_mod_p(coeffs, p)}:
-                slope = sum((i + 1) * c * r**i for i, c in enumerate(coeffs)) % p
-                q = p
-                if slope:
-                    inv = pow(slope, -1, p)
-                    for _ in range(e - 1):
-                        if q > self.bound:
-                            break
-                        q *= p
-                        r = (r - self.family.eval(r) * inv) % q
-                classes.append((r, q))
-            got = self._root_classes[(p, e)] = (sum(1 / q for _, q in classes), classes)
+            classes, reach = self._classes(p, f), self._all.bit_length()
+            got = self._combed.get(classes)
+            if got is None:
+                combs, got = {}, 0
+                for r, q in classes:
+                    combs[q] = combs.get(q, 0) | 1 << r
+                for q, comb in combs.items():
+                    while q < reach:
+                        comb |= comb << q
+                        q <<= 1
+                    got |= comb
+                got &= self._all
+                q = min(combs)  # there is one class at least: P(0) = 0
+                if q * q > reach and q * reach > len(self._minimal) ** 2:
+                    return got
+                self._combed[classes] = got
+            self._witness[(p, f)] = got
+        return got
+
+    def _classes(self, p: int, f: int) -> tuple[tuple[int, int], ...]:
+        """Classes r mod q, q a power of p, whose members below reach are the t with p^f | P(t).
+
+        The roots mod p are found once, for f = 1 (Cohen, GTM 138, 3.4). A root with P'(r) a
+        unit lifts to one root mod each p^k (Hensel). A singular class r mod q is whole when
+        P(r + q y) = 0 mod p^f for y = 0 .. deg P, as their finite differences then vanish;
+        empty when P(r + q y) = P(r) mod p^(v+1) there, v = v_p(P(r)) < f (each member then has
+        valuation v); else it splits mod pq. A class mod q >= reach holds at most r. The root 0
+        of P = x^j R, j > 1, needs no split when p does not divide R(0)."""
+        got = self._class_cache.get((p, f))
+        if got is None:
+            P, pf, reach, coeffs = self.family.eval, p**f, self._all.bit_length(), self.family.coeffs
+            roots = {0, *roots_mod_p(coeffs, p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
+            stack, got = [(r, p) for r in roots], []
+            j = next(i for i, c in enumerate(coeffs) if c) + 1  # P = x^j R with R(0) = coeffs[j - 1]
+            if j > 1 and coeffs[j - 1] % p:  # p | t gives v_p(P(t)) = j v_p(t): one class for 0
+                stack.remove((0, p))
+                got.append((0, p ** -(-f // j)))
+            while stack:
+                r, q = stack.pop()
+                if q >= pf or q >= reach:
+                    if r < reach and (q >= pf or P(r) % pf == 0):
+                        got.append((r, q))
+                elif slope := sum((i + 1) * c * r**i for i, c in enumerate(coeffs)) % p:
+                    stack.append(((r - P(r) * pow(slope, -1, p)) % (q * p), q * p))
+                else:
+                    values = [P(r + q * y) for y in range(self.family.degree + 1)]
+                    step = gcd(values[0], pf) * p  # p^(v+1) when v = v_p(P(r)) < f
+                    if not any(v % pf for v in values):
+                        got.append((r, q))
+                    elif step > pf or any((v - values[0]) % step for v in values):
+                        stack += [(r + s * q, q * p) for s in range(min(p, (reach - 1 - r) // q + 1))]
+            got = self._class_cache[(p, f)] = tuple(sorted(got))
         return got
 
     def lcm(self, a: int) -> int:

@@ -10,7 +10,6 @@ everywhere: x ascending outer, y ascending inner.
 
 from __future__ import annotations
 
-import csv
 import operator
 from collections import deque, namedtuple
 from functools import reduce
@@ -89,16 +88,25 @@ def classify_region(family: PolyFamily, region: Region) -> list[bytes]:
 def region_to_csv(grid: list[bytes], region: Region, path) -> None:
     """x,y,visible rows (0/1), row-major by x then y, in csv.writer's dialect.
 
-    Each column is written as one string: the x field joined over the
-    precomputed ",y,flag" row tails, so no per-row writer call is made and
-    no more than one column is ever held as text.
+    A column's rows whose y have one digit count share a length: they are copied from
+    a template, and each digit of x and the flags go in by one strided slice assignment.
     """
-    tails = [(f",{y},0\r\n", f",{y},1\r\n") for y in range(region.min_y, region.max_y + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,visible\r\n")
-        for i, col in enumerate(grid):
-            x = str(region.min_x + i)
-            fh.write(x + x.join(map(operator.getitem, tails, col)))
+    ys = range(region.min_y, region.max_y + 1)
+    digits = range(len(str(ys.start)), len(str(ys[-1])) + 1)
+    runs = [ys[max(0, 10 ** (d - 1) - ys.start) : 10**d - ys.start] for d in digits]  # y of d digits
+    templates, to_ascii = {}, bytes.maketrans(b"\0\1", b"01")
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,visible\r\n")
+        for x, col in zip(range(region.min_x, region.max_x + 1), grid):
+            x, flags = b"%d" % x, col.translate(to_ascii)
+            for run in runs:
+                if (run.start, len(x)) not in templates:
+                    templates[run.start, len(x)] = b"".join(b"%s,%d,0\r\n" % (x, y) for y in run)
+                out, width = bytearray(templates[run.start, len(x)]), len(x) + len(str(run.start)) + 5
+                for k, digit in enumerate(x):
+                    out[k::width] = bytes((digit,)) * len(run)
+                out[width - 3 :: width] = flags[run.start - ys.start : run.stop - ys.start]
+                fh.write(out)
 
 
 def _iter_blocks(cache: ProfileCache, size: int, region: Region):
@@ -146,11 +154,8 @@ def find_all_blocks(family: PolyFamily, size: int, region: Region) -> list[Block
 
 
 def blocks_to_csv(hits, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["corner_x", "corner_y"])
-        for h in hits:
-            w.writerow([h.corner.a, h.corner.b])
+    with open(path, "wb") as fh:
+        fh.write(b"corner_x,corner_y\r\n" + b"".join(b"%d,%d\r\n" % h.corner for h in hits))
 
 
 def _ring(origin: LatticePoint, k: int) -> list[tuple[int, int]]:

@@ -222,7 +222,14 @@ def test_region_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "region", [Region(7, 19, 95, 131), Region(13, 13, 1, 200), Region(3, 40, 9, 9)]
+    "region",
+    [
+        Region(7, 19, 95, 131),
+        Region(13, 13, 1, 200),
+        Region(3, 40, 9, 9),
+        Region(8, 12, 95, 1005),  # x from 1 to 2 digits, y from 2 to 4
+        Region(99990, 100000, 9, 11),  # x from 5 to 6 digits at the coordinate cap
+    ],
 )
 def test_region_csv_matches_csv_writer_bytes(tmp_path, region):
     grid = classify_region(XSQ_X, region)

@@ -235,29 +235,51 @@ def _gcd_scan_minimal(family, a, bound):
     bound=st.integers(1, 800),
     columns=st.lists(st.integers(1, 600), min_size=1, max_size=8),
 )
-# Every column a >= 2 goes through the candidate search.
+# Every column a >= 2 goes through the witness search.
 @example(family=parse_family("1,1,1"), bound=800, columns=[545, 300])  # C(545) = 883 and 545 is a modulus
 @example(family=parse_family("3,0,2,1"), bound=600, columns=[200, 130])  # C(a) > Q(a) - Q(a-1): no modulus
 @example(family=parse_family("1,1"), bound=20, columns=[144, 147])  # bound < a: C(144) = 29 < a
 @example(family=parse_family("1,2,1"), bound=500, columns=[180, 90, 1, 2])  # -1 is a double root
 # 257 = a + 1 is a modulus equal to the bound, and t = a - 1 is its only witness.
 @example(family=parse_family("1,1"), bound=257, columns=[256])
-@example(family=X, bound=1000, columns=[997])  # P = x at a prime: the one class (0, 1) holds every t < a
+@example(family=X, bound=1000, columns=[997])  # P = x at a prime: no t < a is a multiple of a
 @example(family=X, bound=800, columns=[720])  # P = x at a column with 30 divisors
 @example(family=XSQ_X, bound=1, columns=[1, 2])  # P(1) = 2 has a prime above the bound, and column 1 no t
-# Degree 4 past column 1000, where C(a) | P(t) leaves one candidate: C(1011) = 38272753 keeps
-# 1 of 397, the witness of 253; x^4 at 2 * 601 has C = 601^4 and keeps t = 601, of modulus 16.
+# Degree 4 past column 1000, where C(a) | P(t) holds for one t of the leaves: C(1011) = 38272753,
+# the witness of 253; x^4 at 2 * 601 has C = 601^4 and keeps t = 601, of modulus 16.
 @example(family=parse_family("1,1,0,0"), bound=300, columns=[1011])
 @example(family=parse_family("1,0,0,0"), bound=600, columns=[1202])
 # Q = x^p - x mod p has every residue as a root: x^2 + x at p = 2, and x^3 + 2x at p = 3.
 @example(family=parse_family("1,1,0"), bound=400, columns=list(range(1, 401)))
 @example(family=parse_family("1,0,2,0"), bound=400, columns=list(range(1, 401)))
+# x^3 and x^4 + 2x^2 have the singular root 0 at every prime; p^2 | a makes their classes split.
+@example(family=parse_family("1,0,0"), bound=1000, columns=[360, 900])
+@example(family=parse_family("1,0,2,0"), bound=1000, columns=[360, 900])
+# The grid's column shape, and columns at the coordinate cap.
+@example(family=XSQ_X, bound=8999, columns=[997, 1000])
+@example(family=XSQ_X, bound=100_000, columns=[99990, 100_000])
 def test_minimal_moduli_match_gcd_scan(family, bound, columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
     cut to [1, bound], for bounds above and below a and columns in any order."""
     cache = ProfileCache(family, bound)
     for a in columns:
         assert cache.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=families(),
+    p=st.sampled_from([p for p in range(2, 51) if all(p % d for d in range(2, p))]),
+    f=st.integers(1, 4),
+    bound=st.integers(1, 500),
+)
+@example(family=parse_family("1,0,0"), p=2, f=4, bound=500)  # singular at 0: t^3 = 0 mod 16 iff 4 | t
+@example(family=parse_family("1,1,0"), p=2, f=3, bound=64)  # every residue is a root mod 2
+@example(family=parse_family("1,2,1"), p=3, f=4, bound=500)  # -1 is a double root
+def test_witness_bitsets_match_brute_force(family, p, f, bound):
+    """Bit t of the witness bitset of p^f is set exactly when p^f | P(t), 0 <= t <= bound."""
+    brute = sum(1 << t for t in range(bound + 1) if family.eval(t) % p**f == 0)
+    assert ProfileCache(family, bound)._witnesses(p, f) == brute
 
 
 def test_profile_cache_refuses_b_past_its_bound():
@@ -344,19 +366,15 @@ def test_is_visible_scans_only_uncertified_points(monkeypatch):
 
 @pytest.mark.parametrize("a", [9973, 9240])  # a prime; 2^3 * 3 * 5 * 7 * 11 with 64 divisors
 def test_degree_one_column_evaluates_few_t(monkeypatch, a):
-    """For P = x the candidate search costs O(divisors of a), not O(a).
+    """For P = x the witness search evaluates P only at a and at the root 0.
 
-    P(a) = a is bound-smooth, and each branch holds one class (0, D), D the part
-    of a/m fixed so far. Stopped early it holds fewer than _CLASS_RUN members
-    below a. Refined in full, D = a/m divides P(D), so t = D alone joins. Branches
-    that stop cover disjoint sets of divisors m, so at most tau(a) of them stop.
-    Besides the candidates, P is evaluated only at a and, for the Hensel lift, 0.
+    P(a) = a is bound-smooth, so no t needs the rough-part remainder. The only root
+    of x mod p is 0, where P' = 1 is a unit, so its Hensel lifts stay 0, and each
+    witness bitset of p^f is the multiples of p^f, combed from the class (0, p^f).
     """
     cache = ProfileCache(X, 10_000)
     calls = []
     real_eval = type(X).eval
     monkeypatch.setattr(type(X), "eval", lambda self, x: calls.append(x) or real_eval(self, x))
-    primes = factorize(a)
-    assert cache.minimal_moduli(a) == tuple(p for p, _ in primes)
-    divisors = math.prod(e + 1 for _, e in primes)
-    assert len(set(calls)) <= 2 + (columns._CLASS_RUN - 1) * divisors
+    assert cache.minimal_moduli(a) == tuple(p for p, _ in factorize(a))
+    assert set(calls) <= {a, 0}
