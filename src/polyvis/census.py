@@ -9,7 +9,8 @@ which callers may share: a modulus above N marks no b <= N.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
-of primes at once (`roots.frobenius_gcds`), rather than enumerating residues.
+of primes at once, from a `roots.RootTable` that a density run shares with
+its column cache, rather than enumerating residues.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .arith import factorize, primes_up_to
 from .columns import ProfileCache
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, PolyFamily
-from .roots import frobenius_gcds, split_x_power
+from .roots import RootTable
 from .visibility import is_visible_direct, modulus
 
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
@@ -145,30 +146,35 @@ def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None
     return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
 
 
-def rho(family: PolyFamily, primes: list[int]) -> list[int]:
+def rho(family: PolyFamily, primes: list[int], table: RootTable | None = None) -> list[int]:
     """rho_P(p), the number of residues x mod p with P(x) = 0 mod p, for each prime p in primes.
 
     P = x^(j+1) * Q0 with Q0(0) != 0, so rho_P(p) = deg gcd(Q0, x^p - x) + [Q0(0) != 0 mod p].
-    `roots.frobenius_gcds` finds those gcds with one exponentiation and one Euclid per
-    batch of primes; a Q0 of degree <= 1, as for x^3, needs neither.
+    The gcds come from table, a `RootTable` of P / x (a new one when None), filled with one
+    exponentiation and one Euclid per batch of primes. A Q0 = c0 + c1 x, as for x^3 or
+    x^2 + x, needs neither: rho_P(p) = [c1 != 0 mod p] + [c0 != 0 mod p].
     """
     if any(p < 2 for p in primes):
         raise ValueError(f"need primes >= 2, got {min(primes)}")
-    _, q0 = split_x_power(family.coeffs)
-    return [len(g) - 1 + (q0[0] % p != 0) for p, g in zip(primes, frobenius_gcds(q0, primes))]
+    table = RootTable.of(family.coeffs, table)
+    q0 = table.q0
+    if len(q0) <= 2:
+        c1 = q0[-1] if len(q0) == 2 else 0
+        return [(c1 % p != 0) + (q0[0] % p != 0) for p in primes]
+    return [len(g) - 1 + (q0[0] % p != 0) for p, g in zip(primes, table.gcds(primes))]
 
 
-def constant_cp(family: PolyFamily, prime_bound: int) -> ConstantResult:
+def constant_cp(family: PolyFamily, prime_bound: int, table: RootTable | None = None) -> ConstantResult:
     """Truncation of prod_p (1 - rho_P(p)/p^2) at primes <= prime_bound.
 
-    One `rho` call over all the primes, multiplied in ascending p. prime_bound
-    may not exceed PRIME_BOUND_CAP.
+    One `rho` call over all the primes, multiplied in ascending p; table is as in rho.
+    prime_bound may not exceed PRIME_BOUND_CAP.
     Tail: |log shift from primes > B| <= deg(P) * sum_{m>B} 1/m^2 <= deg/(B-1).
     """
     check_prime_bound(prime_bound)
     primes = primes_up_to(prime_bound)
     value = 1.0
-    for p, r in zip(primes, rho(family, primes)):
+    for p, r in zip(primes, rho(family, primes, table)):
         value *= 1.0 - r / (p * p)
     return ConstantResult(value, prime_bound, family.degree / (prime_bound - 1))
 
@@ -209,8 +215,15 @@ def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = N
 
     A subset of the visible pairs: the lcm certificate is sufficient for
     visibility, not necessary. Primes above N mark no b <= N, so column a
-    takes the pruned sum of exact_count_ie over the primes <= N of L_P(a)
-    (`ProfileCache.prime_set`). cache is as in density_rows.
+    takes the Moebius sum over the products <= N of the distinct primes <= N
+    of L_P(a) (`ProfileCache.prime_set`): the pruned sum of exact_count_ie,
+    whose lcms of distinct primes are their products. cache is as in density_rows.
     """
     cache = _column_cache(family, n, cache)
-    return sum(_ie_pruned(cache.prime_set(a), n) for a in range(1, n + 1))
+    total = 0
+    for a in range(1, n + 1):
+        terms = [(1, 1)]
+        for p in cache.prime_set(a):
+            terms += [(l * p, -s) for l, s in terms if l * p <= n]
+        total += sum(s * (n // l) for l, s in terms)
+    return total

@@ -136,26 +136,33 @@ def cmd_visible(args):
 
 
 def cmd_density(args):
+    from contextlib import nullcontext
+
     from . import census
+    from .arith import primes_up_to
     from .columns import ProfileCache
+    from .roots import RootTable
 
     fam = parse_family(args.poly)
     n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
     census.check_prime_bound(args.prime_bound)
     _check_n(args.n, n_cap)
-    cache = ProfileCache(fam, args.n)
-    if args.out:
-        import csv
-        with open(args.out, "w", newline="") as fh:  # opened first: an unwritable path fails at once
+    table = RootTable(fam.coeffs)  # one root table for the Euler product and the column classes
+    cache = ProfileCache(fam, args.n, table)
+    # --out is opened first: an unwritable path fails at once
+    with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
+        constant = census.constant_cp(fam, args.prime_bound, table)  # fills the table up to B
+        table.fill(primes_up_to(args.n))  # and up to N, in batches before the column sweep
+        if fh:
+            import csv
             rows = census.density_rows(fam, args.n, cache)
             w = csv.writer(fh)
             w.writerow(["N", "visible_count", "density"])
             w.writerows(rows)
-        visible_count = rows[-1][1]
-    else:
-        visible_count = census.exact_count_ie(fam, args.n, cache=cache)
+            visible_count = rows[-1][1]
+        else:
+            visible_count = census.exact_count_ie(fam, args.n, cache=cache)
     coprime = census.coprimality_count(fam, args.n, cache)
-    constant = census.constant_cp(fam, args.prime_bound)
     payload = {
         "n": args.n,
         "visible_count": visible_count,

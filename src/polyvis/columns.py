@@ -6,9 +6,9 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import or_
 
-from .arith import factorize, primes_up_to, valuation
+from .arith import factorize, primes_up_to
 from .polyfam import PolyFamily
-from .roots import roots_mod_p
+from .roots import RootTable
 from .visibility import lcm_p
 
 # One column: a; moduli, the (t, m_{a,t}) for t in [1, a); minimal_moduli, the
@@ -19,7 +19,10 @@ ColumnProfile = namedtuple("ColumnProfile", "a moduli minimal_moduli lcm_prime_s
 def _minimal_by_divisibility(values: set[int]) -> tuple[int, ...]:
     kept: list[int] = []
     for m in sorted(values):
-        if not any(m % k == 0 for k in kept):
+        for k in kept:
+            if m % k == 0:
+                break
+        else:
             kept.append(m)
     return tuple(kept)
 
@@ -60,14 +63,18 @@ class ProfileCache:
     reads and is never produced, so is_visible refuses b > bound. Columns
     a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
-    whose rings overlap, reads a column again.
+    whose rings overlap, reads a column again. roots is the `RootTable` of
+    P / x that the column classes read, shared with the Euler product in a
+    density run; without one, each prime's roots are found when first read.
     """
 
-    def __init__(self, family: PolyFamily, bound: int):
+    def __init__(self, family: PolyFamily, bound: int, roots: RootTable | None = None):
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         self.family = family
         self.bound = bound
+        self._roots = RootTable.of(family.coeffs, roots)
+        self._fixed = gcd(*map(family.eval, range(1, family.degree + 1)))  # P's fixed divisor
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
         self._primes: dict[int, list[int]] = {}
@@ -102,24 +109,33 @@ class ProfileCache:
         """
         if a == 1:
             return ()
-        pa = self.value(a)
-        powers = [(p, valuation(p, pa)) for p in self._smooth_primes(a)]
-        rough = pa // prod(p**e for p, e in powers)
+        pa = rough = self.value(a)
+        powers = []  # (p^e, p, e) with p^e exactly dividing P(a), p <= bound
+        for p in self._smooth_primes(a):
+            q, e, rough = p, 1, rough // p
+            while rough % p == 0:
+                q, e, rough = q * p, e + 1, rough // p
+            powers.append((q, p, e))
         if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
             return ()
         if a > self._all.bit_length():  # a cache read past its bound: the bitsets must hold t = a - 1
             self._all, self._class_cache, self._witness, self._combed = (1 << a) - 1, {}, {}, {}
-        powers.sort(key=lambda pe: pe[0] ** pe[1], reverse=True)
+        powers.sort(reverse=True)
         bound, cached, found, leaves = self.bound, self._witness.get, [], []
         stack = [(0, 1, (1 << a) - 2)]  # t in [1, a)
         while stack:
             i, m, mask = stack.pop()
-            if found and any(m % k == 0 for k in found):
+            for k in found:
+                if m % k == 0:
+                    break
+            else:
+                k = 0
+            if k:
                 continue
             if i == len(powers):  # only when C(a) > 1
                 leaves.append((m, mask))
                 continue
-            p, e = powers[i]
+            _, p, e = powers[i]
             children, above = [], 0
             for f in range(e, -1, -1):  # m takes p^(e - f): the t left have v_p(P(t)) = f, or >= e
                 if m > bound:
@@ -189,7 +205,7 @@ class ProfileCache:
         got = self._class_cache.get((p, f))
         if got is None:
             P, pf, reach, coeffs = self.family.eval, p**f, self._all.bit_length(), self.family.coeffs
-            roots = {0, *roots_mod_p(coeffs, p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
+            roots = {0, *self._roots.roots(p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
             stack, got = [(r, p) for r in roots], []
             j = next(i for i, c in enumerate(coeffs) if c) + 1  # P = x^j R with R(0) = coeffs[j - 1]
             if j > 1 and coeffs[j - 1] % p:  # p | t gives v_p(P(t)) = j v_p(t): one class for 0
@@ -213,7 +229,8 @@ class ProfileCache:
         return got
 
     def lcm(self, a: int) -> int:
-        return lcm_p(self.family, a, self.value)
+        """L_P(a): past a = deg P, P(a) over P's fixed divisor, found once per cache."""
+        return self.value(a) // self._fixed if a > self.family.degree else lcm_p(self.family, a, self.value)
 
     def prime_set(self, a: int) -> tuple[int, ...]:
         """Primes <= bound dividing L_P(a), ascending.

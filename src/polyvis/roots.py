@@ -4,7 +4,8 @@ search alone: `visible` and `construct` never load this kernel."""
 import math
 import operator
 
-_BATCH = 16  # primes per frobenius_gcds batch, chosen by measurement (README)
+_BATCH = 16  # most primes per frobenius_gcds batch, chosen by measurement (README)
+_PACK_BITS = 2560  # bound on deg Q * log2 M, M the product of a batch: fewer primes at high degree (README)
 _TABLE_GAP = 128  # gaps a batch steps by a table of x^k, not by power(); prime gaps below 10^6 are <= 114
 
 
@@ -12,14 +13,17 @@ def frobenius_gcds(coeffs, primes) -> list[list[int]]:
     """Per prime p, monic gcd(Q, x^p - x) over F_p for Q = sum coeffs[i] * x**i: the product
     of x - r over Q's distinct roots r, its degree their count (Cohen, GTM 138, 3.4).
 
-    Primes not dividing Q's leading coefficient go in batches of _BATCH, p_1 < ... < p_k
-    with product M, in (Z/M)[x]/(Q): x^(p_1) by square-and-multiply, each next x^(p_i) one
-    product by x^(p_i - p_(i-1)), the x^(p_i) - x joined by CRT into one G, and one Euclid
-    gcd(Q, G) over Z/M (`_gcd_mod`). A prime dividing Q's lead is a batch of one. Q mod p != 0.
+    Primes not dividing Q's leading coefficient go in batches p_1 < ... < p_k with product M,
+    k <= _BATCH and deg Q * log2 M about _PACK_BITS at most, in (Z/M)[x]/(Q): x^(p_1) by
+    square-and-multiply, each next x^(p_i) one product by x^(p_i - p_(i-1)), the x^(p_i) - x
+    joined by CRT into one G, and one Euclid gcd(Q, G) over Z/M (`_gcd_mod`). A prime
+    dividing Q's lead is a batch of one. Q mod p != 0.
     """
     rest = sorted({p for p in primes if coeffs[-1] % p})
+    bits = max(len(coeffs) - 1, 1) * (rest[-1].bit_length() if rest else 1)  # deg Q * log2 of a prime
+    width = max(1, min(_BATCH, _PACK_BITS // bits))
     batches = [[p] for p in set(primes) if coeffs[-1] % p == 0]
-    batches += [rest[i : i + _BATCH] for i in range(0, len(rest), _BATCH)]
+    batches += [rest[i : i + width] for i in range(0, len(rest), width)]
     gcds = {}
     for batch in batches:
         for m, g in _batch_gcds(coeffs, batch):
@@ -54,36 +58,79 @@ def _batch_gcds(coeffs, batch: list[int]) -> list[tuple[int, list[int]]]:
     return _gcd_mod(q, g, m)
 
 
-def roots_mod_p(coeffs, p: int) -> list[int]:
-    """The distinct roots in F_p of sum coeffs[i] * x**i, ascending, for a prime p.
+class RootTable:
+    """The roots over F_p of Q = sum coeffs[i] * x**i, for one polynomial and as many primes as
+    its readers ask for: the Euler product (`census.rho`) and the column classes
+    (`columns.ProfileCache`) of one density run share it.
 
-    They are the roots of g = gcd(Q, x^p - x), from `frobenius_gcds` as a batch of one,
-    split by equal-degree splitting (Cantor-Zassenhaus; Cohen, GTM 138, 3.4.3):
-    gcd(g, (x + s)^((p-1)/2) - 1) holds the roots r with r + s a nonzero square, and some
-    shift s in [0, p) separates any two roots. A factor split off at s resumes at s + 1:
-    every earlier shift gave all of its roots one answer. g of degree p is x^p - x itself,
-    every residue; at p = 2 it is the only g of degree >= 2, where the exponent (p-1)/2
-    would be 0. Q mod p must not be zero. Q = x^j * Q0 has the roots of Q0, and 0 if j > 0.
+    Q = x^j * Q0 with Q0(0) != 0 (`split_x_power`). Per prime p the table holds the monic
+    g = gcd(Q0, x^p - x), the product of x - r over Q0's distinct roots r: `fill` batches the
+    primes it is given through `frobenius_gcds`, and a prime not yet held is a batch of one
+    when read. `fill` leaves a Q0 of degree <= 1 alone: its gcd needs no exponentiation, and
+    `census.rho` reads its root count off its coefficients.
     """
-    j, coeffs = split_x_power(coeffs)
-    (g,) = frobenius_gcds(coeffs, [p])
-    if len(g) > p:
-        return list(range(p))
-    roots = []
-    stack = [(g, 0)]
-    while stack:
-        g, first = stack.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
-        elif len(g) > 2:
-            for s in range(first, p):
-                h = _power_mod(g, p, s, (p - 1) // 2)
-                h[0] = (h[0] - 1) % p
-                ((_, f),) = _gcd_mod(list(g), h, p)
-                if 1 < len(f) < len(g):
-                    stack += [(f, s + 1), (_quotient_mod_p(g, f, p), s + 1)]
-                    break
-    return sorted({*roots, 0} if j else roots)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        self.j, self.q0 = split_x_power(self.coeffs)
+        self._gcds: dict[int, list[int]] = {}
+
+    @classmethod
+    def of(cls, coeffs, table=None):
+        """table, refused unless it holds the roots of coeffs, or a new table of coeffs."""
+        if table is None:
+            return cls(coeffs)
+        if table.coeffs != tuple(coeffs):
+            raise ValueError(f"a root table of {table.coeffs} cannot serve {tuple(coeffs)}")
+        return table
+
+    def gcds(self, primes) -> list[list[int]]:
+        """g at each prime in primes, from the table: the primes it lacks go in batches, one
+        exponentiation and one Euclid each. Q mod p must not be zero."""
+        new = [p for p in primes if p not in self._gcds]
+        if new:
+            self._gcds.update(zip(new, frobenius_gcds(self.q0, new)))
+        return [self._gcds[p] for p in primes]
+
+    def fill(self, primes) -> None:
+        """The gcds of a run's primes, batched ahead of their readers; none for a Q0 of degree <= 1."""
+        if len(self.q0) > 2:
+            self.gcds(primes)
+
+    def roots(self, p: int) -> list[int]:
+        """The distinct roots in F_p of Q, ascending, for a prime p.
+
+        They are the roots of g, split by equal-degree splitting (Cantor-Zassenhaus; Cohen,
+        GTM 138, 3.4.3): gcd(g, (x + s)^((p-1)/2) - 1) holds the roots r with r + s a nonzero
+        square, and some shift s in [0, p) separates any two roots. A factor split off at s
+        resumes at s + 1: every earlier shift gave all of its roots one answer. g of degree p
+        is x^p - x itself, every residue; at p = 2 it is the only g of degree >= 2, where the
+        exponent (p-1)/2 would be 0. Q has the roots of Q0, and 0 if j > 0.
+        """
+        (g,) = self.gcds([p])
+        if len(g) > p:
+            return list(range(p))
+        roots = []
+        stack = [(g, 0)]
+        while stack:
+            g, first = stack.pop()
+            if len(g) == 2:
+                roots.append(-g[0] % p)
+            elif len(g) > 2:
+                for s in range(first, p):
+                    h = _power_mod(g, p, s, (p - 1) // 2)
+                    h[0] = (h[0] - 1) % p
+                    ((_, f),) = _gcd_mod(list(g), h, p)
+                    if 1 < len(f) < len(g):
+                        stack += [(f, s + 1), (_quotient_mod_p(g, f, p), s + 1)]
+                        break
+        return sorted({*roots, 0} if self.j else roots)
+
+
+def roots_mod_p(coeffs, p: int) -> list[int]:
+    """The distinct roots in F_p of sum coeffs[i] * x**i, ascending, for a prime p at which
+    it is not zero: `RootTable.roots` of a table of one prime."""
+    return RootTable(coeffs).roots(p)
 
 
 def split_x_power(coeffs) -> tuple[int, list[int]]:

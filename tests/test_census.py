@@ -331,6 +331,16 @@ def test_rho_of_an_x_power_times_a_constant_runs_no_frobenius(monkeypatch):
         assert all(roots_mod_p(parse_family(spec).coeffs, p) == [0] for p in primes[:100])
 
 
+@pytest.mark.parametrize("spec", ["1", "1,1", "2,5", "1,0", "3,1", "6,35", "1,0,0", "5,3,0,0"])
+def test_rho_of_a_q0_of_degree_at_most_one_runs_no_batch(monkeypatch, spec):
+    """P = x^(j+1) (c0 + c1 x) has rho_P(p) = [c1 != 0 mod p] + [c0 != 0 mod p] at every
+    prime, read off the coefficients: no Frobenius batch runs."""
+    monkeypatch.setattr(roots, "_batch_gcds", lambda *a: pytest.fail("a Frobenius batch ran"))
+    family = parse_family(spec)
+    primes = primes_up_to(400)
+    assert rho(family, primes) == [_rho_by_enumeration(family, p) for p in primes]
+
+
 _PRIMES_BELOW_3000 = primes_up_to(3000)
 
 

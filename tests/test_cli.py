@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family
-from polyvis.arith import factorize
+from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family, roots
+from polyvis.arith import factorize, primes_up_to
 from polyvis.cli import main
 from polyvis.geometry import Region
 
@@ -118,6 +118,38 @@ def test_density_factorizes_each_column_once(monkeypatch, out):
     n = 400
     _density_payload("--poly", "1,1", "--n", str(n), *(("--out", os.devnull) if out else ()))
     assert 0 < len(calls) <= n
+
+
+@pytest.mark.parametrize("bound", [10_000, 50])
+def test_density_finds_roots_at_batch_cost(monkeypatch, bound):
+    """One root table serves the Euler product and the column classes: the Frobenius
+    batches cover the primes <= B, then the primes in (B, N], _BATCH at a time, and each
+    prime that divides the leading coefficient alone; no column finds its roots one prime
+    at a time. At the default B = 10^4 that is ceil(pi(max(N, B)) / _BATCH) batches."""
+    family, n = parse_family("3,0,2,1"), 1108
+    batches = []
+    batch_gcds = roots._batch_gcds
+    monkeypatch.setattr(roots, "_batch_gcds", lambda coeffs, batch: batches.append(batch) or batch_gcds(coeffs, batch))
+    _density_payload("--poly", family.spec, "--n", str(n), "--prime-bound", str(bound))
+    primes, below = primes_up_to(max(n, bound)), len(primes_up_to(bound))
+    lead = sum(family.coeffs[-1] % p == 0 for p in primes)
+    assert len(batches) <= -(-below // roots._BATCH) + -(-(len(primes) - below) // roots._BATCH) + lead
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_density_counts_do_not_depend_on_the_prime_bound(tmp_path, out):
+    """A table filled to B = 2, to B = N or past N serves the columns alike: only the
+    Euler product reads B, so the counts and the --out rows stay put."""
+    n = 400
+    seen = set()
+    for bound in (2, n, 10_000):
+        argv = ["--poly", "3,0,2,1", "--n", str(n), "--prime-bound", str(bound)]
+        if out:
+            argv += ["--out", str(tmp_path / f"{bound}.csv")]
+        payload = _density_payload(*argv)
+        rows = (tmp_path / f"{bound}.csv").read_bytes() if out else None
+        seen.add((payload["visible_count"], payload["coprimality_count"], rows))
+    assert len(seen) == 1
 
 
 def test_count_modes_agree(capsys):
@@ -397,7 +429,8 @@ def _forbid_work(monkeypatch):
         pytest.fail("work started before the cap check")
 
     for module, names in (
-        (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie")),
+        (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie", "constant_cp", "rho")),
+        (roots.RootTable, ("fill",)),
         (geometry, ("classify_region", "find_block", "find_all_blocks", "find_point_with_radius")),
         (cli, ("is_visible",)),
         (construct, ("construct_visible", "construct_multi_prime")),

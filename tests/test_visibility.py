@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyvis import columns, visibility
+from polyvis import census, columns, visibility
 from polyvis import (
     DEGREE_CAP,
     LatticePoint,
@@ -21,6 +21,8 @@ from polyvis import (
     modulus,
     parse_family,
 )
+from polyvis.arith import primes_up_to
+from polyvis.roots import RootTable
 
 from conftest import families
 
@@ -280,6 +282,39 @@ def test_witness_bitsets_match_brute_force(family, p, f, bound):
     """Bit t of the witness bitset of p^f is set exactly when p^f | P(t), 0 <= t <= bound."""
     brute = sum(1 << t for t in range(bound + 1) if family.eval(t) % p**f == 0)
     assert ProfileCache(family, bound)._witnesses(p, f) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.builds(
+        lambda lead, rest: parse_family(",".join(map(str, [lead, *rest]))),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 3), max_size=5),
+    ),
+    n=st.integers(1, 400),
+    where=st.sampled_from(("below", "at", "above")),
+    data=st.data(),
+)
+def test_profile_cache_reads_a_root_table_filled_by_rho(family, n, where, data):
+    """Columns whose roots come from a table that rho filled in batches, for the primes
+    up to a B below, at or above N, match columns that find each prime's roots alone."""
+    bound = {"below": lambda: data.draw(st.integers(2, max(n - 1, 2))), "at": lambda: max(n, 2),
+             "above": lambda: data.draw(st.integers(n + 1, 3 * n + 50))}[where]()
+    table = RootTable(family.coeffs)
+    census.rho(family, primes_up_to(bound), table)
+    shared, alone = ProfileCache(family, n, table), ProfileCache(family, n)
+    for a in range(1, n + 1):
+        assert shared.minimal_moduli(a) == alone.minimal_moduli(a), a
+        assert shared.prime_set(a) == alone.prime_set(a), a
+
+
+def test_root_table_of_another_family_is_refused():
+    table = RootTable(XSQ_X.coeffs)
+    with pytest.raises(ValueError, match="cannot serve"):
+        ProfileCache(XSQ, 10, table)
+    with pytest.raises(ValueError, match="cannot serve"):
+        census.rho(XSQ, [2, 3], table)
+    assert ProfileCache(XSQ_X, 10, table).minimal_moduli(7) == ProfileCache(XSQ_X, 10).minimal_moduli(7)
 
 
 def test_profile_cache_refuses_b_past_its_bound():
