@@ -5,12 +5,13 @@ the end. Column a is invisible exactly at multiples of its minimal moduli,
 so every count, the per-N prefix rows too, is the paper's exact double
 sum over them, from one term list per column (`_ie_terms`). Counts over
 [1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
-which callers may share: a modulus above N marks no b <= N.
+which callers may share: a modulus above N marks no b <= N. Such a sweep
+reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
-of primes at once, from a `roots.RootTable` that a density run shares with
-its column cache, rather than enumerating residues.
+of primes at once, from a `roots.RootTable` (in a density run, its column
+cache's), rather than enumerating residues.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ def check_prime_bound(prime_bound: int) -> None:
 
 
 def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None) -> ProfileCache:
-    """cache, refused unless it holds family's columns up to n, or a new ProfileCache(family, n)."""
+    """cache (refused unless it holds family's columns up to n) or a new one, the primes <= n batched in its roots."""
     _check_n(n)
     if cache is None:
-        return ProfileCache(family, n)
-    if cache.family != family or cache.bound < n:
+        cache = ProfileCache(family, n)
+    elif cache.family != family or cache.bound < n:
         raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
+    cache.roots.gcds(primes_up_to(n))
     return cache
 
 

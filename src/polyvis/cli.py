@@ -32,7 +32,8 @@ Each command pays only for its own work. All load polyfam, errors and
 visibility (one P(a), one gcd, at most one scan). construct and the
 illustration add construct and arith. The others but visible add arith,
 roots, columns and census (density and count: the paper's exact double sum
-over one ProfileCache) or geometry; csv loads only with density --out.
+over one ProfileCache, with the roots of the primes <= N found in batches
+first) or geometry; csv loads only with density --out.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """
@@ -139,20 +140,16 @@ def cmd_density(args):
     from contextlib import nullcontext
 
     from . import census
-    from .arith import primes_up_to
     from .columns import ProfileCache
-    from .roots import RootTable
 
     fam = parse_family(args.poly)
     n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
     census.check_prime_bound(args.prime_bound)
     _check_n(args.n, n_cap)
-    table = RootTable(fam.coeffs)  # one root table for the Euler product and the column classes
-    cache = ProfileCache(fam, args.n, table)
+    cache = ProfileCache(fam, args.n)
     # --out is opened first: an unwritable path fails at once
     with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
-        constant = census.constant_cp(fam, args.prime_bound, table)  # fills the table up to B
-        table.fill(primes_up_to(args.n))  # and up to N, in batches before the column sweep
+        constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots to B; each sweep adds (B, N]
         if fh:
             import csv
             rows = census.density_rows(fam, args.n, cache)

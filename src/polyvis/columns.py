@@ -2,14 +2,13 @@
 scan of one column (`column_profile`)."""
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import or_
 
 from .arith import factorize, primes_up_to
 from .polyfam import PolyFamily
 from .roots import RootTable
-from .visibility import lcm_p
 
 # One column: a; moduli, the (t, m_{a,t}) for t in [1, a); minimal_moduli, the
 # divisibility-minimal values, ascending; lcm_prime_set, the primes dividing L_P(a).
@@ -64,17 +63,17 @@ class ProfileCache:
     a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again. roots is the `RootTable` of
-    P / x that the column classes read, shared with the Euler product in a
-    density run; without one, each prime's roots are found when first read.
+    P / x that the column classes read: a census sweep fills it in batches
+    first (`census._column_cache`); else each prime's roots are found when read.
     """
 
-    def __init__(self, family: PolyFamily, bound: int, roots: RootTable | None = None):
+    def __init__(self, family: PolyFamily, bound: int):
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         self.family = family
         self.bound = bound
-        self._roots = RootTable.of(family.coeffs, roots)
-        self._fixed = gcd(*map(family.eval, range(1, family.degree + 1)))  # P's fixed divisor
+        self.roots = RootTable(family.coeffs)
+        self._prefix = tuple(accumulate(map(family.eval, range(1, family.degree + 1)), gcd))  # gcd P(1..t)
         self._values: dict[int, int] = {}
         self._minimal: dict[int, tuple[int, ...]] = {}
         self._primes: dict[int, list[int]] = {}
@@ -101,11 +100,12 @@ class ProfileCache:
         """minimal_moduli(a): ANDs of witness bitsets, not a gcd per t < a.
 
         Only P(a)'s bound-smooth part, prod p^e, is factorized. The t < a split prime by prime,
-        largest p^e first, by min(e, v_p(P(t))) (`_witnesses`): each leaf is one m_{a,t}, kept if
-        the rest of P(a), C(a), divides P(t) for one of its t (else m_{a,t} > bound). A branch
-        stops once m passes the bound or a smaller m found divides it. When bound >= a the primes
-        of C(a) exceed a, and C(a) | P(t) = t Q(t), Q = P/x, forces C(a) | (Q(a) - Q(t))/(a - t)
-        <= Q(a) - Q(a-1) (nonnegative coefficients): a larger C(a) leaves no modulus <= bound.
+        largest p^e first, by min(e, v_p(P(t))) (`_witnesses`): each leaf is one m_{a,t}, kept when
+        reached if the rest of P(a), C(a), divides P(t) for one of its t down to P(t) < P(a)/bound
+        (else m_{a,t} > bound). A branch stops once m passes the bound or a smaller m found divides
+        it. When bound >= a the primes of C(a) exceed a, and C(a) | P(t) = t Q(t), Q = P/x, forces
+        C(a) | (Q(a) - Q(t))/(a - t) <= Q(a) - Q(a-1) (nonnegative coefficients): a larger C(a)
+        leaves no modulus <= bound.
         """
         if a == 1:
             return ()
@@ -121,7 +121,7 @@ class ProfileCache:
         if a > self._all.bit_length():  # a cache read past its bound: the bitsets must hold t = a - 1
             self._all, self._class_cache, self._witness, self._combed = (1 << a) - 1, {}, {}, {}
         powers.sort(reverse=True)
-        bound, cached, found, leaves = self.bound, self._witness.get, [], []
+        bound, cached, found = self.bound, self._witness.get, []
         stack = [(0, 1, (1 << a) - 2)]  # t in [1, a)
         while stack:
             i, m, mask = stack.pop()
@@ -133,7 +133,11 @@ class ProfileCache:
             if k:
                 continue
             if i == len(powers):  # only when C(a) > 1
-                leaves.append((m, mask))
+                while mask and (v := self.value(t := mask.bit_length() - 1)) * bound >= pa:
+                    if v % rough == 0:
+                        found.append(m)
+                        break
+                    mask ^= 1 << t
                 continue
             _, p, e = powers[i]
             children, above = [], 0
@@ -151,12 +155,6 @@ class ProfileCache:
                     break
                 above, m = held, m * p
             stack += reversed(children)  # smaller m first
-        if leaves:  # one remainder per t, down to P(t) < P(a)/bound, where m_{a,t} passes the bound
-            union, kept = reduce(or_, (mask for _, mask in leaves)), 0
-            while union and (v := self.value(t := union.bit_length() - 1)) * bound >= pa:
-                kept |= (v % rough == 0) << t
-                union ^= 1 << t
-            found = [m for m, mask in leaves if mask & kept]
         return _minimal_by_divisibility(set(found))
 
     def _smooth_primes(self, a: int) -> list[int]:
@@ -205,10 +203,10 @@ class ProfileCache:
         got = self._class_cache.get((p, f))
         if got is None:
             P, pf, reach, coeffs = self.family.eval, p**f, self._all.bit_length(), self.family.coeffs
-            roots = {0, *self._roots.roots(p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
+            roots = {0, *self.roots.roots(p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
             stack, got = [(r, p) for r in roots], []
-            j = next(i for i, c in enumerate(coeffs) if c) + 1  # P = x^j R with R(0) = coeffs[j - 1]
-            if j > 1 and coeffs[j - 1] % p:  # p | t gives v_p(P(t)) = j v_p(t): one class for 0
+            j = self.roots.j + 1  # P = x^j R with R(0) = roots.q0[0]
+            if j > 1 and self.roots.q0[0] % p:  # p | t gives v_p(P(t)) = j v_p(t): one class for 0
                 stack.remove((0, p))
                 got.append((0, p ** -(-f // j)))
             while stack:
@@ -229,8 +227,8 @@ class ProfileCache:
         return got
 
     def lcm(self, a: int) -> int:
-        """L_P(a): past a = deg P, P(a) over P's fixed divisor, found once per cache."""
-        return self.value(a) // self._fixed if a > self.family.degree else lcm_p(self.family, a, self.value)
+        """L_P(a), as `visibility.lcm_p`, over the cache's prefix gcds of P(1), ..., P(deg P)."""
+        return self.value(a) // self._prefix[min(a, self.family.degree) - 1]
 
     def prime_set(self, a: int) -> tuple[int, ...]:
         """Primes <= bound dividing L_P(a), ascending.

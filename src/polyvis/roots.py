@@ -60,14 +60,13 @@ def _batch_gcds(coeffs, batch: list[int]) -> list[tuple[int, list[int]]]:
 
 class RootTable:
     """The roots over F_p of Q = sum coeffs[i] * x**i, for one polynomial and as many primes as
-    its readers ask for: the Euler product (`census.rho`) and the column classes
-    (`columns.ProfileCache`) of one density run share it.
+    its readers ask for. Each `columns.ProfileCache` owns one for its classes; a census sweep
+    batches the primes <= N into it first, and a density run hands it to the Euler product
+    (`census.rho`) as well.
 
     Q = x^j * Q0 with Q0(0) != 0 (`split_x_power`). Per prime p the table holds the monic
-    g = gcd(Q0, x^p - x), the product of x - r over Q0's distinct roots r: `fill` batches the
-    primes it is given through `frobenius_gcds`, and a prime not yet held is a batch of one
-    when read. `fill` leaves a Q0 of degree <= 1 alone: its gcd needs no exponentiation, and
-    `census.rho` reads its root count off its coefficients.
+    g = gcd(Q0, x^p - x), the product of x - r over Q0's distinct roots r: `gcds` batches the
+    primes it lacks through `frobenius_gcds`, so a prime first read alone is a batch of one.
     """
 
     def __init__(self, coeffs):
@@ -91,11 +90,6 @@ class RootTable:
         if new:
             self._gcds.update(zip(new, frobenius_gcds(self.q0, new)))
         return [self._gcds[p] for p in primes]
-
-    def fill(self, primes) -> None:
-        """The gcds of a run's primes, batched ahead of their readers; none for a Q0 of degree <= 1."""
-        if len(self.q0) > 2:
-            self.gcds(primes)
 
     def roots(self, p: int) -> list[int]:
         """The distinct roots in F_p of Q, ascending, for a prime p.

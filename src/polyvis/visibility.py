@@ -84,11 +84,10 @@ def lcm_criterion(family: PolyFamily, point: LatticePoint) -> bool:
     return gcd(lcm_p(family, point.a), point.b) == 1
 
 
-def lcm_p(family: PolyFamily, a: int, value=None) -> int:
+def lcm_p(family: PolyFamily, a: int) -> int:
     """L_P(a) = P(a) / gcd(P(1), ..., P(a)) for a >= 1, as every gcd(P(a), P(t)) divides P(a); past
-    a = deg the gcd is P's fixed divisor. value evaluates P (`ProfileCache.lcm` passes its cache)."""
-    value = value or family.eval
-    return value(a) // gcd(*map(value, range(1, min(a, family.degree) + 1)))
+    a = deg the gcd is P's fixed divisor."""
+    return family.eval(a) // gcd(*map(family.eval, range(1, min(a, family.degree) + 1)))
 
 
 def __getattr__(name: str):

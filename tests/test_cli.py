@@ -120,6 +120,13 @@ def test_density_factorizes_each_column_once(monkeypatch, out):
     assert 0 < len(calls) <= n
 
 
+def _spy_batches(monkeypatch):
+    """The list of batches that roots._batch_gcds is given from now on."""
+    batches, batch_gcds = [], roots._batch_gcds
+    monkeypatch.setattr(roots, "_batch_gcds", lambda coeffs, batch: batches.append(batch) or batch_gcds(coeffs, batch))
+    return batches
+
+
 @pytest.mark.parametrize("bound", [10_000, 50])
 def test_density_finds_roots_at_batch_cost(monkeypatch, bound):
     """One root table serves the Euler product and the column classes: the Frobenius
@@ -127,13 +134,24 @@ def test_density_finds_roots_at_batch_cost(monkeypatch, bound):
     prime that divides the leading coefficient alone; no column finds its roots one prime
     at a time. At the default B = 10^4 that is ceil(pi(max(N, B)) / _BATCH) batches."""
     family, n = parse_family("3,0,2,1"), 1108
-    batches = []
-    batch_gcds = roots._batch_gcds
-    monkeypatch.setattr(roots, "_batch_gcds", lambda coeffs, batch: batches.append(batch) or batch_gcds(coeffs, batch))
+    batches = _spy_batches(monkeypatch)
     _density_payload("--poly", family.spec, "--n", str(n), "--prime-bound", str(bound))
     primes, below = primes_up_to(max(n, bound)), len(primes_up_to(bound))
     lead = sum(family.coeffs[-1] % p == 0 for p in primes)
     assert len(batches) <= -(-below // roots._BATCH) + -(-(len(primes) - below) // roots._BATCH) + lead
+
+
+def test_count_finds_roots_at_batch_cost(monkeypatch):
+    """count sweeps the columns 1..N as density does, so its column cache batches the primes
+    <= N before the first column: ceil(pi(N) / _BATCH) batches, and one more for each prime
+    that divides the leading coefficient; no column finds its roots one prime at a time."""
+    family, n = parse_family("3,0,2,1"), 1108
+    batches = _spy_batches(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["count", "--poly", family.spec, "--n", str(n), "--mode", "pruned"]) == 0
+    primes = primes_up_to(n)
+    lead = sum(family.coeffs[-1] % p == 0 for p in primes)
+    assert 0 < len(batches) <= -(-len(primes) // roots._BATCH) + lead
 
 
 @pytest.mark.parametrize("out", [False, True])
@@ -430,7 +448,7 @@ def _forbid_work(monkeypatch):
 
     for module, names in (
         (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie", "constant_cp", "rho")),
-        (roots.RootTable, ("fill",)),
+        (roots.RootTable, ("gcds",)),
         (geometry, ("classify_region", "find_block", "find_all_blocks", "find_point_with_radius")),
         (cli, ("is_visible",)),
         (construct, ("construct_visible", "construct_multi_prime")),

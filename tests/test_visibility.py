@@ -240,6 +240,9 @@ def _gcd_scan_minimal(family, a, bound):
 # Every column a >= 2 goes through the witness search.
 @example(family=parse_family("1,1,1"), bound=800, columns=[545, 300])  # C(545) = 883 and 545 is a modulus
 @example(family=parse_family("3,0,2,1"), bound=600, columns=[200, 130])  # C(a) > Q(a) - Q(a-1): no modulus
+# C(52) = 5209 divides P(12) alone: the leaf of 351 keeps it at t = 12, and 351 then prunes the
+# node of 702. Leaves kept without that remainder would give (27, 39).
+@example(family=parse_family("3,0,2,1"), bound=800, columns=[52])
 @example(family=parse_family("1,1"), bound=20, columns=[144, 147])  # bound < a: C(144) = 29 < a
 @example(family=parse_family("1,2,1"), bound=500, columns=[180, 90, 1, 2])  # -1 is a double root
 # 257 = a + 1 is a modulus equal to the bound, and t = a - 1 is its only witness.
@@ -300,21 +303,19 @@ def test_profile_cache_reads_a_root_table_filled_by_rho(family, n, where, data):
     up to a B below, at or above N, match columns that find each prime's roots alone."""
     bound = {"below": lambda: data.draw(st.integers(2, max(n - 1, 2))), "at": lambda: max(n, 2),
              "above": lambda: data.draw(st.integers(n + 1, 3 * n + 50))}[where]()
-    table = RootTable(family.coeffs)
-    census.rho(family, primes_up_to(bound), table)
-    shared, alone = ProfileCache(family, n, table), ProfileCache(family, n)
+    shared, alone = ProfileCache(family, n), ProfileCache(family, n)
+    census.rho(family, primes_up_to(bound), shared.roots)
     for a in range(1, n + 1):
         assert shared.minimal_moduli(a) == alone.minimal_moduli(a), a
         assert shared.prime_set(a) == alone.prime_set(a), a
 
 
 def test_root_table_of_another_family_is_refused():
-    table = RootTable(XSQ_X.coeffs)
-    with pytest.raises(ValueError, match="cannot serve"):
-        ProfileCache(XSQ, 10, table)
+    family = parse_family("1,1,1")  # Q0 = x^2 + x + 1: rho reads the table's gcds
+    table = RootTable(family.coeffs)
     with pytest.raises(ValueError, match="cannot serve"):
         census.rho(XSQ, [2, 3], table)
-    assert ProfileCache(XSQ_X, 10, table).minimal_moduli(7) == ProfileCache(XSQ_X, 10).minimal_moduli(7)
+    assert census.rho(family, [2, 3, 5, 7], table) == census.rho(family, [2, 3, 5, 7]) == [1, 2, 1, 3]
 
 
 def test_profile_cache_refuses_b_past_its_bound():
