@@ -6,7 +6,9 @@ so every count, the per-N prefix rows too, is the paper's exact double
 sum over them, from one term list per column (`_ie_terms`). Counts over
 [1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
 which callers may share: a modulus above N marks no b <= N. Such a sweep
-reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots.
+reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots
+for the sweeps over moduli; `coprimality_count` reads only prime sets,
+which need no roots.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
@@ -50,14 +52,19 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
-def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None) -> ProfileCache:
-    """cache (refused unless it holds family's columns up to n) or a new one, the primes <= n batched in its roots."""
+def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli: bool = True) -> ProfileCache:
+    """cache (refused unless it holds family's columns up to n) or a new one.
+
+    A sweep that reads moduli gets the primes <= n batched in its roots; one
+    that reads only prime sets (moduli=False) needs no roots.
+    """
     _check_n(n)
     if cache is None:
         cache = ProfileCache(family, n)
     elif cache.family != family or cache.bound < n:
         raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
-    cache.roots.gcds(primes_up_to(n))
+    if moduli:
+        cache.roots.gcds(primes_up_to(n))
     return cache
 
 
@@ -221,7 +228,7 @@ def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = N
     of L_P(a) (`ProfileCache.prime_set`): the pruned sum of exact_count_ie,
     whose lcms of distinct primes are their products. cache is as in density_rows.
     """
-    cache = _column_cache(family, n, cache)
+    cache = _column_cache(family, n, cache, moduli=False)
     total = 0
     for a in range(1, n + 1):
         terms = [(1, 1)]

@@ -12,7 +12,8 @@
 Each run prints a single JSON envelope {command, family?, payload,
 elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 0 success, 1 reproduction failure, 2 bad input, including an --out path
-that cannot be written, 3 resource cap exceeded.
+that cannot be written, 3 resource cap exceeded. run(), the process
+entry, freezes the heap on every way out: the collections at exit skip it.
 
 Scope caps, all checked here before any census or geometry call:
 N <= 10000 (density, count); regions <= 2000 per side (blocks, classify,
@@ -41,6 +42,7 @@ is opened before any work, after the input checks.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -399,4 +401,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The process entry (console script and python -m polyvis): main(), then exit.
+
+    Every way out freezes the heap first, so the interpreter's last cyclic
+    collections skip the objects it holds; main() itself keeps the collector.
+    """
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()

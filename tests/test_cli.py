@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -152,6 +153,14 @@ def test_count_finds_roots_at_batch_cost(monkeypatch):
     primes = primes_up_to(n)
     lead = sum(family.coeffs[-1] % p == 0 for p in primes)
     assert 0 < len(batches) <= -(-len(primes) // roots._BATCH) + lead
+
+
+def test_coprimality_count_finds_no_roots(monkeypatch):
+    """coprimality_count reads only prime sets, which need no roots, so its own column
+    cache makes no Frobenius batch."""
+    batches = _spy_batches(monkeypatch)
+    assert census.coprimality_count(parse_family("3,0,2,1"), 1108) > 0
+    assert batches == []
 
 
 @pytest.mark.parametrize("out", [False, True])
@@ -649,6 +658,62 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["payload"]["visible"] is True
+
+
+_ENTRY_PROBE = """
+import atexit, gc, sys
+from polyvis import cli
+atexit.register(lambda: print("atexit: freeze count", gc.get_freeze_count(), file=sys.stderr))
+{entry}
+"""
+
+
+def _exit_of(entry: str, argv) -> tuple[int, dict | None, str, int]:
+    """Exit code, envelope without elapsed_ms, stderr and the freeze count an atexit hook
+    sees, of a fresh interpreter that runs entry on argv."""
+    src = str(Path(polyvis.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "LATTICE_SCOPE_CAP"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE.format(entry=entry), *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**env, "PYTHONPATH": src},
+    )
+    envelope = json.loads(proc.stdout) if proc.stdout.strip() else None
+    if envelope is not None:
+        envelope.pop("elapsed_ms")
+    err, _, frozen = proc.stderr.rpartition("atexit: freeze count ")
+    return proc.returncode, envelope, err, int(frozen)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("visible", "--poly", "1,1", "--point", "13,195"), 0),
+        (("visible", "--poly", "1,1", "--point", "13"), 2),
+        (("frobnicate", "--poly", "1"), 2),
+        (("density", "--poly", "1", "--n", "10001"), 3),
+    ],
+)
+def test_process_entry_freezes_the_heap_on_every_way_out(argv, code):
+    """run() freezes the heap on every way out, argparse's own exit too, so the
+    interpreter's last collections skip it; atexit hooks still run, and the output
+    and exit code are those of main() run without the freeze."""
+    got = _exit_of("cli.run()", argv)
+    want = _exit_of("raise SystemExit(cli.main())", argv)
+    assert got[0] == want[0] == code
+    assert got[1:3] == want[1:3]
+    assert got[3] > 0 and want[3] == 0
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """Only the process entry freezes: library callers, the tests and in-process
+    benchmarks keep their collector."""
+    frozen = gc.get_freeze_count()
+    for argv, code in [(("visible", "--poly", "1,1", "--point", "13,195"), 0), (("count", "--poly", "1", "--n", "0"), 2)]:
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == frozen
 
 
 _MODULES_PROBE = """
