@@ -165,7 +165,10 @@ def rho(family: PolyFamily, primes: list[int], table: RootTable | None = None) -
     """
     if any(p < 2 for p in primes):
         raise ValueError(f"need primes >= 2, got {min(primes)}")
-    table = RootTable.of(family.coeffs, table)
+    if table is None:
+        table = RootTable(family.coeffs)
+    elif table.coeffs != family.coeffs:
+        raise ValueError(f"a root table of {table.coeffs} cannot serve {family.coeffs}")
     q0 = table.q0
     if len(q0) <= 2:
         c1 = q0[-1] if len(q0) == 2 else 0

@@ -34,7 +34,7 @@ visibility (one P(a), one gcd, at most one scan). construct and the
 illustration add construct and arith. The others but visible add arith,
 roots, columns and census (density and count: the paper's exact double sum
 over one ProfileCache, with the roots of the primes <= N found in batches
-first) or geometry; csv loads only with density --out.
+first) or geometry. No command loads csv: the CSVs are written as bytes.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """
@@ -139,8 +139,6 @@ def cmd_visible(args):
 
 
 def cmd_density(args):
-    from contextlib import nullcontext
-
     from . import census
     from .columns import ProfileCache
 
@@ -149,18 +147,16 @@ def cmd_density(args):
     census.check_prime_bound(args.prime_bound)
     _check_n(args.n, n_cap)
     cache = ProfileCache(fam, args.n)
-    # --out is opened first: an unwritable path fails at once
-    with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
-        constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots to B; each sweep adds (B, N]
-        if fh:
-            import csv
-            rows = census.density_rows(fam, args.n, cache)
-            w = csv.writer(fh)
-            w.writerow(["N", "visible_count", "density"])
-            w.writerows(rows)
-            visible_count = rows[-1][1]
-        else:
-            visible_count = census.exact_count_ie(fam, args.n, cache=cache)
+    if args.out:
+        open(args.out, "a").close()  # an unwritable path fails before the census
+    constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots to B; each sweep adds (B, N]
+    if args.out:
+        rows = census.density_rows(fam, args.n, cache)
+        with open(args.out, "wb") as fh:
+            fh.write(b"N,visible_count,density\r\n" + b"".join(b"%d,%d,%r\r\n" % row for row in rows))
+        visible_count = rows[-1][1]
+    else:
+        visible_count = census.exact_count_ie(fam, args.n, cache=cache)
     coprime = census.coprimality_count(fam, args.n, cache)
     payload = {
         "n": args.n,

@@ -59,7 +59,8 @@ class ProfileCache:
     bound is the largest b, and the largest column, that the caller reads.
     minimal_moduli(a) is the divisibility-minimal set of the m_{a,t}, t < a,
     cut to [1, bound]: a modulus above the bound marks no b the caller
-    reads and is never produced, so is_visible refuses b > bound. Columns
+    reads and is never produced, so is_visible refuses b > bound. A column
+    past the bound is refused too, so every cache is sized once. Columns
     a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again. roots is the `RootTable` of
@@ -80,7 +81,7 @@ class ProfileCache:
         self._class_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._witness: dict[tuple[int, int], int] = {}
         self._combed: dict[tuple[tuple[int, int], ...], int] = {}  # the same bitsets, by their classes
-        self._all = (1 << bound + 1) - 1  # the witness bitsets hold t < reach = _all.bit_length()
+        self._all = (1 << bound + 1) - 1  # the witness bitsets hold t <= bound
 
     def value(self, x: int) -> int:
         got = self._values.get(x)
@@ -103,10 +104,12 @@ class ProfileCache:
         largest p^e first, by min(e, v_p(P(t))) (`_witnesses`): each leaf is one m_{a,t}, kept when
         reached if the rest of P(a), C(a), divides P(t) for one of its t down to P(t) < P(a)/bound
         (else m_{a,t} > bound). A branch stops once m passes the bound or a smaller m found divides
-        it. When bound >= a the primes of C(a) exceed a, and C(a) | P(t) = t Q(t), Q = P/x, forces
-        C(a) | (Q(a) - Q(t))/(a - t) <= Q(a) - Q(a-1) (nonnegative coefficients): a larger C(a)
-        leaves no modulus <= bound.
+        it. A column past the bound is refused, so a <= bound: the primes of C(a) exceed a, and
+        C(a) | P(t) = t Q(t), Q = P/x, forces C(a) | (Q(a) - Q(t))/(a - t) <= Q(a) - Q(a-1)
+        (nonnegative coefficients): a larger C(a) leaves no modulus <= bound.
         """
+        if a > self.bound:
+            raise ValueError(f"column {a} is past the cache bound {self.bound}: its moduli are unknown")
         if a == 1:
             return ()
         pa = rough = self.value(a)
@@ -116,10 +119,8 @@ class ProfileCache:
             while rough % p == 0:
                 q, e, rough = q * p, e + 1, rough // p
             powers.append((q, p, e))
-        if rough > 1 and a <= self.bound and rough > pa // a - self.value(a - 1) // (a - 1):
+        if rough > 1 and rough > pa // a - self.value(a - 1) // (a - 1):
             return ()
-        if a > self._all.bit_length():  # a cache read past its bound: the bitsets must hold t = a - 1
-            self._all, self._class_cache, self._witness, self._combed = (1 << a) - 1, {}, {}, {}
         powers.sort(reverse=True)
         bound, cached, found = self.bound, self._witness.get, []
         stack = [(0, 1, (1 << a) - 2)]  # t in [1, a)
@@ -172,7 +173,7 @@ class ProfileCache:
         """
         got = self._witness.get((p, f))
         if got is None:
-            classes, reach = self._classes(p, f), self._all.bit_length()
+            classes, reach = self._classes(p, f), self.bound + 1
             got = self._combed.get(classes)
             if got is None:
                 combs, got = {}, 0
@@ -202,7 +203,7 @@ class ProfileCache:
         of P = x^j R, j > 1, needs no split when p does not divide R(0)."""
         got = self._class_cache.get((p, f))
         if got is None:
-            P, pf, reach, coeffs = self.family.eval, p**f, self._all.bit_length(), self.family.coeffs
+            P, pf, reach, coeffs = self.family.eval, p**f, self.bound + 1, self.family.coeffs
             roots = {0, *self.roots.roots(p)} if f == 1 else [r for r, _ in self._classes(p, 1)]
             stack, got = [(r, p) for r in roots], []
             j = self.roots.j + 1  # P = x^j R with R(0) = roots.q0[0]

@@ -191,10 +191,14 @@ def construct_visible(pt: LatticePoint, ell: int | None = None) -> Construction:
 def construct_multi_prime(pt: LatticePoint, ells) -> MultiPrimeConstruction:
     """Average of the single-prime curves over distinct primes ells.
 
-    The average still hits (a, b) exactly; each interior value should keep
-    every ell in its reduced denominator. Both facts are checked per input;
-    a violation of the denominator claim is recorded as a counterexample
-    list rather than raised. Every ell is checked before any curve is built.
+    The average still hits (a, b) exactly, and each interior value keeps
+    every ell in its reduced denominator: at 0 < t < a it is
+    b t / (a k) * sum_j D_j(t) / ell_j, k = len(ells), D_j the polynomial of
+    ell_j's base-a digits, so 1 <= D_j(t) < D_j(a) = ell_j. Over a k prod(ells)
+    its numerator is b t D_j(t) prod_{i != j} ell_i mod ell_j, nonzero as
+    b, t < ell_j. So the O(a) check cannot fail for an accepted input; it
+    stays as the recorded certificate, a violation listed as counterexamples
+    rather than raised. Every ell is checked before any curve is built.
     """
     ells = tuple(ells)
     if not ells:

@@ -74,15 +74,6 @@ class RootTable:
         self.j, self.q0 = split_x_power(self.coeffs)
         self._gcds: dict[int, list[int]] = {}
 
-    @classmethod
-    def of(cls, coeffs, table=None):
-        """table, refused unless it holds the roots of coeffs, or a new table of coeffs."""
-        if table is None:
-            return cls(coeffs)
-        if table.coeffs != tuple(coeffs):
-            raise ValueError(f"a root table of {table.coeffs} cannot serve {tuple(coeffs)}")
-        return table
-
     def gcds(self, primes) -> list[list[int]]:
         """g at each prime in primes, from the table: the primes it lacks go in batches, one
         exponentiation and one Euclid each. Q mod p must not be zero."""
@@ -119,12 +110,6 @@ class RootTable:
                         stack += [(f, s + 1), (_quotient_mod_p(g, f, p), s + 1)]
                         break
         return sorted({*roots, 0} if self.j else roots)
-
-
-def roots_mod_p(coeffs, p: int) -> list[int]:
-    """The distinct roots in F_p of sum coeffs[i] * x**i, ascending, for a prime p at which
-    it is not zero: `RootTable.roots` of a table of one prime."""
-    return RootTable(coeffs).roots(p)
 
 
 def split_x_power(coeffs) -> tuple[int, list[int]]:

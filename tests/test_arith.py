@@ -16,7 +16,7 @@ from polyvis import (
     valuation,
 )
 from polyvis import roots
-from polyvis.roots import frobenius_gcds, roots_mod_p
+from polyvis.roots import RootTable, frobenius_gcds
 
 
 def _trial_division_is_prime(n):
@@ -203,17 +203,17 @@ def test_roots_mod_p_finds_every_root():
                 poly = _times_linear(poly, r)
             if p % 4 == 3:  # x^2 + 1 has no roots mod p
                 poly = [a + c for a, c in zip([0, 0, *poly], [*poly, 0, 0])]
-            assert roots_mod_p(poly, p) == sorted(set(roots))
+            assert RootTable(poly).roots(p) == sorted(set(roots))
     for p in (2, 3, 5, 13, 263):
         for _ in range(20):
             poly = [rng.randrange(-9, 10) for _ in range(rng.randrange(2, 17))]
             if all(c % p == 0 for c in poly):
                 continue
             expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
-            assert roots_mod_p(poly, p) == expected
+            assert RootTable(poly).roots(p) == expected
     for zero in ([7, 14], [0, 0, 7], [0, 0]):  # zero mod 7, with and without a power of x
         with pytest.raises(ValueError):
-            roots_mod_p(zero, 7)
+            RootTable(zero).roots(7)
 
 
 def test_roots_mod_p_every_root_set_at_small_primes():
@@ -228,7 +228,7 @@ def test_roots_mod_p_every_root_set_at_small_primes():
                         poly = _times_linear(poly, r)
                     expected = [x for x in range(p) if sum(c * x**i for i, c in enumerate(poly)) % p == 0]
                     assert expected == list(roots)
-                    assert roots_mod_p(poly, p) == expected, (p, roots + repeated)
+                    assert RootTable(poly).roots(p) == expected, (p, roots + repeated)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -239,7 +239,7 @@ def test_roots_mod_p_of_a_power_of_x_times_q0_match_enumeration(j, q0):
     poly = [0] * j + q0
     for p in primes_up_to(400):
         expected = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p == 0]
-        assert roots_mod_p(poly, p) == expected, p
+        assert RootTable(poly).roots(p) == expected, p
 
 
 def test_roots_mod_p_raises_to_positive_powers_only(monkeypatch):
@@ -252,11 +252,11 @@ def test_roots_mod_p_raises_to_positive_powers_only(monkeypatch):
         return power_mod(q, p, s, e)
 
     monkeypatch.setattr(roots, "_power_mod", checked)
-    assert roots_mod_p([1], 2) == []
-    assert roots_mod_p([0, 1], 2) == [0]
-    assert roots_mod_p([1, 1], 2) == [1]
-    assert roots_mod_p([0, 1, 1], 2) == [0, 1]
-    assert roots_mod_p([0, -1, 0, 1], 3) == [0, 1, 2]
+    assert RootTable([1]).roots(2) == []
+    assert RootTable([0, 1]).roots(2) == [0]
+    assert RootTable([1, 1]).roots(2) == [1]
+    assert RootTable([0, 1, 1]).roots(2) == [0, 1]
+    assert RootTable([0, -1, 0, 1]).roots(3) == [0, 1, 2]
 
 
 def _python_calls(fn, *args):
@@ -277,7 +277,7 @@ def _python_calls(fn, *args):
 def test_roots_mod_p_work_does_not_grow_with_a_small_prime():
     """A linear Q has its root in its constant term at every prime: as many Python
     calls at p = 251 as at p = 7919, none of them per residue."""
-    assert _python_calls(roots_mod_p, [1, 1], 251) == _python_calls(roots_mod_p, [1, 1], 7919)
+    assert _python_calls(RootTable([1, 1]).roots, 251) == _python_calls(RootTable([1, 1]).roots, 7919)
 
 
 def test_count_roots_mod_p_degree_drops_and_errors():

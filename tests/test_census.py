@@ -25,7 +25,7 @@ from polyvis import (
 )
 from polyvis import census, columns, geometry, roots, visibility
 from polyvis.arith import primes_up_to
-from polyvis.roots import roots_mod_p
+from polyvis.roots import RootTable
 
 X = parse_family("1")
 XSQ = parse_family("1,0")
@@ -319,7 +319,7 @@ def test_rho_over_every_prime_below_3000_matches_enumeration(spec):
 
 def test_rho_of_an_x_power_times_a_constant_runs_no_frobenius(monkeypatch):
     """x^3 and x^4 have Q0 = 1 once x^j is stripped: one root, 0, at every prime.
-    roots_mod_p strips x^j the same way (`roots.split_x_power`)."""
+    RootTable.roots strips x^j the same way (`roots.split_x_power`)."""
 
     def fail(*args):
         raise AssertionError("no polynomial arithmetic mod Q expected")
@@ -328,7 +328,7 @@ def test_rho_of_an_x_power_times_a_constant_runs_no_frobenius(monkeypatch):
     primes = primes_up_to(20_000)
     for spec in ("1,0,0", "1,0,0,0"):
         assert rho(parse_family(spec), primes) == [1] * len(primes)
-        assert all(roots_mod_p(parse_family(spec).coeffs, p) == [0] for p in primes[:100])
+        assert all(RootTable(parse_family(spec).coeffs).roots(p) == [0] for p in primes[:100])
 
 
 @pytest.mark.parametrize("spec", ["1", "1,1", "2,5", "1,0", "3,1", "6,35", "1,0,0", "5,3,0,0"])

@@ -81,6 +81,19 @@ def test_density(capsys, tmp_path):
     assert len(rows) == 1001
     assert rows[1] == ["1", "1", "1.0"]
     assert rows[-1] == ["1000", "608383", "0.608383"]
+    # The CSV is written as bytes; csv.writer's rendering of census.density_rows is the oracle.
+    assert out.read_bytes() == _csv_writer_bytes([("N", "visible_count", "density"), *census.density_rows(parse_family("1"), 1000)])
+    code, env, _ = run_cli(capsys, "density", "--poly", "3,0,2,1", "--n", "1108", "--out", str(out))
+    assert code == 0
+    rows = census.density_rows(parse_family("3,0,2,1"), 1108)
+    assert out.read_bytes() == _csv_writer_bytes([("N", "visible_count", "density"), *rows])
+    assert env["payload"]["visible_count"] == rows[-1][1]
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
 
 
 def _density_payload(*argv):
@@ -774,8 +787,8 @@ _COLUMNS = {"polyvis.roots", "polyvis.columns", "csv"}  # whole columns, and CSV
         ((), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
         (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
         (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
-        (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | {"polyvis.geometry"}),
-        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.geometry"}),
+        (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | {"polyvis.geometry", "csv"}),
+        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.geometry", "csv"}),
         (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | _INTEGER | {"polyvis.geometry"}),
         (("construct", "--point", "3,5"), _QUERY | _COLUMNS),
         (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY | _COLUMNS),
@@ -792,7 +805,7 @@ def test_commands_load_only_their_modules(argv, unloaded):
     geometry commands leave census unloaded, and the integer commands
     leave fractions and decimal unloaded. visible and construct load
     neither the root kernel, the column search nor csv, and visible not
-    even arith."""
+    even arith. density writes its CSV as bytes and leaves csv unloaded."""
     assert not _modules_loaded_by(argv) & unloaded
 
 

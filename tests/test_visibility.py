@@ -231,41 +231,40 @@ def _gcd_scan_minimal(family, a, bound):
     return tuple(sorted(m for m in mods if m <= bound and not any(m != k and m % k == 0 for k in mods)))
 
 
+@st.composite
+def _bound_and_columns(draw):
+    """A cache bound in [1, 800] and up to 8 columns in [1, min(bound, 600)], in any order."""
+    bound = draw(st.integers(1, 800))
+    return bound, draw(st.lists(st.integers(1, min(bound, 600)), min_size=1, max_size=8))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    family=families(),
-    bound=st.integers(1, 800),
-    columns=st.lists(st.integers(1, 600), min_size=1, max_size=8),
-)
+@given(family=families(), bound_columns=_bound_and_columns())
 # Every column a >= 2 goes through the witness search.
-@example(family=parse_family("1,1,1"), bound=800, columns=[545, 300])  # C(545) = 883 and 545 is a modulus
-@example(family=parse_family("3,0,2,1"), bound=600, columns=[200, 130])  # C(a) > Q(a) - Q(a-1): no modulus
+@example(family=parse_family("1,1,1"), bound_columns=(800, [545, 300]))  # C(545) = 883 and 545 is a modulus
+@example(family=parse_family("3,0,2,1"), bound_columns=(600, [200, 130]))  # C(a) > Q(a) - Q(a-1): no modulus
 # C(52) = 5209 divides P(12) alone: the leaf of 351 keeps it at t = 12, and 351 then prunes the
 # node of 702. Leaves kept without that remainder would give (27, 39).
-@example(family=parse_family("3,0,2,1"), bound=800, columns=[52])
-@example(family=parse_family("1,1"), bound=20, columns=[144, 147])  # bound < a: C(144) = 29 < a
-@example(family=parse_family("1,2,1"), bound=500, columns=[180, 90, 1, 2])  # -1 is a double root
+@example(family=parse_family("3,0,2,1"), bound_columns=(800, [52]))
+@example(family=parse_family("1,2,1"), bound_columns=(500, [180, 90, 1, 2]))  # -1 is a double root
 # 257 = a + 1 is a modulus equal to the bound, and t = a - 1 is its only witness.
-@example(family=parse_family("1,1"), bound=257, columns=[256])
-@example(family=X, bound=1000, columns=[997])  # P = x at a prime: no t < a is a multiple of a
-@example(family=X, bound=800, columns=[720])  # P = x at a column with 30 divisors
-@example(family=XSQ_X, bound=1, columns=[1, 2])  # P(1) = 2 has a prime above the bound, and column 1 no t
-# Degree 4 past column 1000, where C(a) | P(t) holds for one t of the leaves: C(1011) = 38272753,
-# the witness of 253; x^4 at 2 * 601 has C = 601^4 and keeps t = 601, of modulus 16.
-@example(family=parse_family("1,1,0,0"), bound=300, columns=[1011])
-@example(family=parse_family("1,0,0,0"), bound=600, columns=[1202])
+@example(family=parse_family("1,1"), bound_columns=(257, [256]))
+@example(family=X, bound_columns=(1000, [997]))  # P = x at a prime: no t < a is a multiple of a
+@example(family=X, bound_columns=(800, [720]))  # P = x at a column with 30 divisors
+@example(family=XSQ_X, bound_columns=(1, [1]))  # column 1 has no t
 # Q = x^p - x mod p has every residue as a root: x^2 + x at p = 2, and x^3 + 2x at p = 3.
-@example(family=parse_family("1,1,0"), bound=400, columns=list(range(1, 401)))
-@example(family=parse_family("1,0,2,0"), bound=400, columns=list(range(1, 401)))
+@example(family=parse_family("1,1,0"), bound_columns=(400, list(range(1, 401))))
+@example(family=parse_family("1,0,2,0"), bound_columns=(400, list(range(1, 401))))
 # x^3 and x^4 + 2x^2 have the singular root 0 at every prime; p^2 | a makes their classes split.
-@example(family=parse_family("1,0,0"), bound=1000, columns=[360, 900])
-@example(family=parse_family("1,0,2,0"), bound=1000, columns=[360, 900])
+@example(family=parse_family("1,0,0"), bound_columns=(1000, [360, 900]))
+@example(family=parse_family("1,0,2,0"), bound_columns=(1000, [360, 900]))
 # The grid's column shape, and columns at the coordinate cap.
-@example(family=XSQ_X, bound=8999, columns=[997, 1000])
-@example(family=XSQ_X, bound=100_000, columns=[99990, 100_000])
-def test_minimal_moduli_match_gcd_scan(family, bound, columns):
+@example(family=XSQ_X, bound_columns=(8999, [997, 1000]))
+@example(family=XSQ_X, bound_columns=(100_000, [99990, 100_000]))
+def test_minimal_moduli_match_gcd_scan(family, bound_columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
-    cut to [1, bound], for bounds above and below a and columns in any order."""
+    cut to [1, bound], for columns in [1, bound], in any order."""
+    bound, columns = bound_columns
     cache = ProfileCache(family, bound)
     for a in columns:
         assert cache.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
@@ -316,6 +315,30 @@ def test_root_table_of_another_family_is_refused():
     with pytest.raises(ValueError, match="cannot serve"):
         census.rho(XSQ, [2, 3], table)
     assert census.rho(family, [2, 3, 5, 7], table) == census.rho(family, [2, 3, 5, 7]) == [1, 2, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "spec, bound, columns",
+    [
+        ("1,1", 20, [144, 147]),  # C(144) = 29 < a: the rough-part exit, sound for a <= bound, drops its moduli
+        ("1,1", 1, [1, 2]),  # the least bound: column 1 is served and column 2 refused
+        ("1,1,0,0", 300, [1011]),  # degree 4 past column 1000: C(1011) = 38272753
+        ("1,0,0,0", 600, [1202]),  # x^4 at 2 * 601: C = 601^4
+    ],
+)
+def test_profile_cache_refuses_a_column_past_its_bound(spec, bound, columns):
+    """minimal_moduli and is_visible refuse a column past the bound, so each cache is sized
+    once; a column within the bound, read before or after a refusal, is the gcd-scan minimal set."""
+    family = parse_family(spec)
+    cache = ProfileCache(family, bound)
+    for a in [*columns, bound + 1, 1, bound]:
+        if a > bound:
+            with pytest.raises(ValueError, match=f"column {a} is past the cache bound {bound}"):
+                cache.minimal_moduli(a)
+            with pytest.raises(ValueError, match=f"column {a} is past the cache bound {bound}"):
+                cache.is_visible(a, 1)
+        else:
+            assert cache.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
 
 
 def test_profile_cache_refuses_b_past_its_bound():
