@@ -138,11 +138,6 @@ def _ie_terms(mods, n: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _ie_pruned(mods, n: int) -> int:
-    """The inclusion-exclusion sum over mods at n: the b <= n that no modulus divides."""
-    return sum(s * (n // l) for l, s in _ie_terms(mods, n))
-
-
 def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None) -> int:
     """Visible-pair count over [1,N]^2 by per-column inclusion-exclusion.
 
@@ -152,7 +147,7 @@ def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None
     sum over every subset. cache is as in density_rows.
     """
     cache = _column_cache(family, n, cache)
-    return sum(_ie_pruned(cache.minimal_moduli(a), n) for a in range(1, n + 1))
+    return sum(s * (n // l) for a in range(1, n + 1) for l, s in _ie_terms(cache.minimal_moduli(a), n))
 
 
 def rho(family: PolyFamily, primes: list[int], table: RootTable | None = None) -> list[int]:

@@ -26,8 +26,9 @@ coordinate, which is checked first. Library functions take no cap, so a
 library caller bounds its own work. Fixed caps, kept in the library and
 left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 --mode oracle N <= 100 (subsets N <= 26); construct primes of at most
-64 bits, at most 4 of them for --multi. blocks --out without --all, and
---rows with --target illustration or naming no survey row, are bad input.
+64 bits, at most 4 of them for --multi. blocks --out without --all,
+--rows with --target illustration or naming no survey row, and an empty
+--out or --rows, are bad input: an empty value is not an absent flag.
 
 Each command pays only for its own work. All load polyfam, errors and
 visibility (one P(a), one gcd, at most one scan). construct and the
@@ -52,7 +53,6 @@ from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
 from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
-_COUNT_MODES = ("oracle", "pruned", "subsets")
 DEFAULT_N_CAP = 10_000
 DEFAULT_REGION_CAP = 2000  # per side
 DEFAULT_COORD_CAP = 100_000
@@ -147,10 +147,10 @@ def cmd_density(args):
     census.check_prime_bound(args.prime_bound)
     _check_n(args.n, n_cap)
     cache = ProfileCache(fam, args.n)
-    if args.out:
+    if args.out is not None:
         open(args.out, "a").close()  # an unwritable path fails before the census
     constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots to B; each sweep adds (B, N]
-    if args.out:
+    if args.out is not None:
         rows = census.density_rows(fam, args.n, cache)
         with open(args.out, "wb") as fh:
             fh.write(b"N,visible_count,density\r\n" + b"".join(b"%d,%d,%r\r\n" % row for row in rows))
@@ -197,10 +197,10 @@ def cmd_blocks(args):
     fam = parse_family(args.poly)
     mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
     region = geometry.Region(1, mx, 1, my)
-    if args.all != bool(args.out):
+    if args.all != (args.out is not None):
         raise ValueError("--all and --out go together: --all writes its block corners to --out")
     _check_region(region)
-    if args.out:
+    if args.out is not None:
         open(args.out, "a").close()  # an unwritable path fails before the scan
     payload = {"scanned_region": [1, mx, 1, my]}
     if args.all:
@@ -224,10 +224,10 @@ def cmd_classify(args):
     fam = parse_family(args.poly)
     region = _parse_region(args.region)
     _check_region(region)
-    if args.out:
+    if args.out is not None:
         open(args.out, "a").close()  # an unwritable path fails before the grid
     grid = geometry.classify_region(fam, region)
-    if args.out:
+    if args.out is not None:
         geometry.region_to_csv(grid, region, args.out)
     payload = {
         "region": [region.min_x, region.max_x, region.min_y, region.max_y],
@@ -300,11 +300,11 @@ def _reproduce_survey(rows_filter):
 
 def cmd_reproduce(args):
     if args.target == "illustration":
-        if args.rows:
+        if args.rows is not None:
             raise ValueError("--rows selects survey rows; it applies only to --target table1")
         items = _reproduce_illustration()
     else:
-        rows = _parse_ints(args.rows, "--rows must be a comma list of integers") if args.rows else []
+        rows = [] if args.rows is None else _parse_ints(args.rows, "--rows must be a comma list of integers")
         items = _reproduce_survey(set(rows))
     passed = sum(1 for it in items if it["passed"])
     payload = {
@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="inclusion-exclusion visible-pair count")
     p.add_argument("--poly", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=sorted(_COUNT_MODES), default="pruned")
+    p.add_argument("--mode", choices=("oracle", "pruned", "subsets"), default="pruned")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("construct", help="curve through (a,b) missing earlier columns")

@@ -107,8 +107,8 @@ def _density_payload(*argv):
 @given(st.integers(1, 3), st.lists(st.integers(0, 3), max_size=3), st.integers(1, 40))
 def test_density_counts_by_double_sum(lead, rest, n):
     """density without --out counts by the double sum over the column moduli and
-    the lcm primes; it reports what the --out sieve reports, and its lcm count
-    matches the certificate taken literally from modulus()."""
+    the lcm primes; it reports what density --out reports from its prefix rows, and
+    its lcm count matches the certificate taken literally from modulus()."""
     family = parse_family(",".join(map(str, [lead, *rest])))
     argv = ("--poly", family.spec, "--n", str(n), "--prime-bound", "100")
     payload = _density_payload(*argv)
@@ -337,6 +337,39 @@ def test_unwritable_out_is_bad_input(capsys, monkeypatch, tmp_path, argv):
     code, env, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and env is None
     assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+_NO_FILE = "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("density", "--poly", "1", "--n", "5", "--out", ""), _NO_FILE),
+        (("classify", "--poly", "1", "--region", "1,3,1,3", "--out", ""), _NO_FILE),
+        (
+            ("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--out", ""),
+            "--all and --out go together: --all writes its block corners to --out",
+        ),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", ""), _NO_FILE),
+        (
+            ("reproduce", "--target", "illustration", "--rows", ""),
+            "--rows selects survey rows; it applies only to --target table1",
+        ),
+        (("reproduce", "--target", "table1", "--rows", ""), "--rows must be a comma list of integers, got ''"),
+    ],
+    ids=["density", "classify", "blocks", "blocks-all", "illustration", "table1"],
+)
+def test_empty_flag_value_is_bad_input(capsys, monkeypatch, tmp_path, argv, message):
+    """An empty --out or --rows is refused before any work, not read as the flag left out."""
+    _forbid_work(monkeypatch)
+    for name in ("_reproduce_illustration", "_reproduce_survey"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("work started before the flag check"))
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_radius(capsys):

@@ -437,3 +437,26 @@ def test_degree_one_column_evaluates_few_t(monkeypatch, a):
     monkeypatch.setattr(type(X), "eval", lambda self, x: calls.append(x) or real_eval(self, x))
     assert cache.minimal_moduli(a) == tuple(p for p, _ in factorize(a))
     assert set(calls) <= {a, 0}
+
+
+def test_cube_shares_one_witness_bitset_per_prime():
+    """x^3 has one class, 0 mod p, for p, p^2 and p^3 alike, so the bitsets of (p, 1..3)
+    are one object, shared through `_combed`: a sweep keeps 274 keys but 122 bitsets."""
+    cache = ProfileCache(parse_family("1,0,0"), 1108)
+    for a in range(1, 1109):
+        cache.minimal_moduli(a)
+    for p in primes_up_to(13):
+        assert cache._witness[(p, 1)] is cache._witness[(p, 2)] is cache._witness[(p, 3)], p
+
+
+@pytest.mark.parametrize(
+    "spec, kept",
+    [("1,1", 78), ("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3", 64)],  # of the 234 and 237 (p, f) read
+)
+def test_far_columns_keep_few_witness_bitsets(spec, kept):
+    """On the far columns 99801..10^5 at bound 10^5 the keep rule of `_witnesses` stores
+    only the bitsets of small moduli: a sparse bitset of 10^5 bits recurs in few columns."""
+    cache = ProfileCache(parse_family(spec), 100_000)
+    for a in range(99801, 100_001):
+        cache.minimal_moduli(a)
+    assert len(cache._witness) <= kept
