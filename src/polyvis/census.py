@@ -7,13 +7,14 @@ sum over them, from one term list per column (`_ie_terms`). Counts over
 [1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
 which callers may share: a modulus above N marks no b <= N. Such a sweep
 reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots
-for the sweeps over moduli; `coprimality_count` reads only prime sets,
-which need no roots.
+for the sweeps over moduli and, on a cache of bound N, sieves each column's
+primes off them; `coprimality_count` reads only prime sets, needing no roots.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
 of primes at once, from a `roots.RootTable` (in a density run, its column
-cache's), rather than enumerating residues.
+cache's) or, for a Q0 of degree 2 or 3, mostly from its discriminant,
+rather than enumerating residues.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ def check_prime_bound(prime_bound: int) -> None:
 def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli: bool = True) -> ProfileCache:
     """cache (refused unless it holds family's columns up to n) or a new one.
 
-    A sweep that reads moduli gets the primes <= n batched in its roots; one
-    that reads only prime sets (moduli=False) needs no roots.
+    A sweep that reads moduli gets the primes <= n that its root table lacks
+    batched into it (`rho` may have read some primes off the discriminant), and
+    then, on a cache whose bound is n, every column's primes sieved off those
+    roots (`ProfileCache.sieve_primes`): no gcd with the primorial, no factorize.
+    One that reads only prime sets (moduli=False) needs no roots, and keeps the gcds.
     """
     _check_n(n)
     if cache is None:
@@ -65,6 +69,8 @@ def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli
         raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
     if moduli:
         cache.roots.gcds(primes_up_to(n))
+        if cache.bound == n:
+            cache.sieve_primes()
     return cache
 
 
@@ -153,10 +159,14 @@ def exact_count_ie(family: PolyFamily, n: int, cache: ProfileCache | None = None
 def rho(family: PolyFamily, primes: list[int], table: RootTable | None = None) -> list[int]:
     """rho_P(p), the number of residues x mod p with P(x) = 0 mod p, for each prime p in primes.
 
-    P = x^(j+1) * Q0 with Q0(0) != 0, so rho_P(p) = deg gcd(Q0, x^p - x) + [Q0(0) != 0 mod p].
-    The gcds come from table, a `RootTable` of P / x (a new one when None), filled with one
-    exponentiation and one Euclid per batch of primes. A Q0 = c0 + c1 x, as for x^3 or
-    x^2 + x, needs neither: rho_P(p) = [c1 != 0 mod p] + [c0 != 0 mod p].
+    P = x^(j+1) * Q0 with Q0(0) != 0. P's roots mod p are 0 and Q0's, which share the root 0 when
+    p | Q0(0): rho_P(p) = rho_Q0(p) + [Q0(0) != 0 mod p]. A Q0 = c0 + c1 x, as for x^3 or
+    x^2 + x, has rho_Q0(p) = [c1 != 0 mod p]. A Q0 of degree d = 2 or 3 at an odd p dividing
+    neither its lead nor its discriminant D is squarefree mod p, with r irreducible factors, and
+    (D/p) = (-1)^(d - r) (Stickelberger; Swan, Pacific J. Math. 12, 1962): so rho_Q0(p) =
+    1 + (D/p) when d = 2, and 1 when d = 3 and (D/p) = -1. Every other p reads
+    deg gcd(Q0, x^p - x) from table, a `RootTable` of P / x (a new one when None), filled with
+    one exponentiation and one Euclid per batch of the primes it lacks.
     """
     if any(p < 2 for p in primes):
         raise ValueError(f"need primes >= 2, got {min(primes)}")
@@ -168,7 +178,19 @@ def rho(family: PolyFamily, primes: list[int], table: RootTable | None = None) -
     if len(q0) <= 2:
         c1 = q0[-1] if len(q0) == 2 else 0
         return [(c1 % p != 0) + (q0[0] % p != 0) for p in primes]
-    return [len(g) - 1 + (q0[0] % p != 0) for p, g in zip(primes, table.gcds(primes))]
+    read = {}  # rho_Q0(p) where the discriminant fixes it
+    if len(q0) <= 4:
+        d, c, b, a = (*q0, 0)[:4]  # D of a x^3 + b x^2 + c x + d; at a = 0, b^2 (c^2 - 4bd): same symbol
+        disc = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+        for p in primes:
+            if p > 2 and q0[-1] * disc % p:
+                square = pow(disc, (p - 1) // 2, p) == 1  # Euler's criterion
+                if len(q0) == 3:
+                    read[p] = 2 * square
+                elif not square:
+                    read[p] = 1
+    rest = iter(table.gcds([p for p in primes if p not in read]))  # in the order of primes
+    return [(read[p] if p in read else len(next(rest)) - 1) + (q0[0] % p != 0) for p in primes]
 
 
 def constant_cp(family: PolyFamily, prime_bound: int, table: RootTable | None = None) -> ConstantResult:

@@ -149,7 +149,7 @@ def cmd_density(args):
     cache = ProfileCache(fam, args.n)
     if args.out is not None:
         open(args.out, "a").close()  # an unwritable path fails before the census
-    constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots to B; each sweep adds (B, N]
+    constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots <= B it reads; the sweep adds <= N
     if args.out is not None:
         rows = census.density_rows(fam, args.n, cache)
         with open(args.out, "wb") as fh:

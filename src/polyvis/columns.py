@@ -65,7 +65,9 @@ class ProfileCache:
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again. roots is the `RootTable` of
     P / x that the column classes read: a census sweep fills it in batches
-    first (`census._column_cache`); else each prime's roots are found when read.
+    first and then sieves every column's primes off it (`census._column_cache`,
+    `sieve_primes`); else each prime's roots are found when read, and each
+    column's primes come from a gcd with the primorial of the bound.
     """
 
     def __init__(self, family: PolyFamily, bound: int):
@@ -158,8 +160,20 @@ class ProfileCache:
             stack += reversed(children)  # smaller m first
         return _minimal_by_divisibility(set(found))
 
+    def sieve_primes(self) -> None:
+        """Fill the _smooth_primes of every column 1..bound at once: p | P(a) exactly when a mod p
+        is a root of P, so each prime p <= bound strides over its roots, {0} and the table's
+        (`_classes(p, 1)`). Batch the primes <= bound into `roots` first, or each is found alone."""
+        lists = [[] for _ in range(self.bound + 1)]
+        for p in primes_up_to(self.bound):
+            for r, _ in self._classes(p, 1):
+                for row in lists[r or p :: p]:
+                    row.append(p)
+        self._primes.update(enumerate(lists))
+
     def _smooth_primes(self, a: int) -> list[int]:
-        """The primes <= bound dividing P(a), ascending; one factorize per column."""
+        """The primes <= bound dividing P(a), ascending: sieved (`sieve_primes`), or one gcd with
+        the primorial of the bound and one factorize per column."""
         if a not in self._primes:
             self._primes[a] = [p for p, _ in factorize(gcd(self.value(a), _primorial(self.bound)))]
         return self._primes[a]
@@ -168,8 +182,10 @@ class ProfileCache:
         """Bit t set for each t in [0, reach) with p^f | P(t): `_classes` combed out by doubling.
 
         Kept, once per set of classes, while their least modulus q has q^2 <= reach or
-        q reach <= K^2, K the columns read: the kept bitsets hold about deg P reach^1.5 + K^2
-        bits, and a sparser set recurs in few columns. Singular roots make many p^f share a set.
+        q reach <= K^2, K the columns read; a sparser set recurs in few columns. The first clause
+        keeps about deg P reach^1.5 bits. The second keeps little while few columns are read, but a
+        sweep of columns 1..N ends with K = N and keeps every set with q < N, nearly all: for x
+        at N = 10^5, 5217 bitsets and 65 MB. Singular roots make many p^f share a set.
         The one caller, `_moduli`, reads `_witness` first, so a call here is a miss.
 
         Sharing by classes keeps x^3's (p, 1..3) as one object: without it, density of 1,0,0 at
@@ -238,7 +254,7 @@ class ProfileCache:
         """Primes <= bound dividing L_P(a), ascending.
 
         L_P(a) divides P(a), so they are among the _smooth_primes(a), which
-        the moduli search has factorized already.
+        a census sweep has sieved, or the moduli search has factorized already.
         """
         la = self.lcm(a)
         return tuple(p for p in self._smooth_primes(a) if la % p == 0)

@@ -359,6 +359,13 @@ def _family_and_prime(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_family_and_prime())
+# Q0 = x^2 + x + 3 is x (x + 1) mod 3: it shares the root 0 with P, counted once (2, not 3).
+@example((PolyFamily((3, 1, 1)), 3))
+@example((parse_family("1,2,1"), 5))  # Q0 = (x + 1)^2 has discriminant 0: read from the table
+@example((parse_family("3,0,2,1"), 3))  # p divides the lead of Q0 = 3x^3 + 2x + 1
+@example((parse_family("3,0,2,1"), 2))
+@example((parse_family("3,0,2,1"), 11))  # (D/11) = (-339/11) = -1: one root, read off the symbol
+@example((parse_family("1,1,1"), 7))  # (D/7) = (-3/7) = 1: x^2 + x + 1 has two roots mod 7
 def test_rho_matches_enumeration_property(family_and_prime):
     """p alone, and p last in a list with the primes below it, so that it shares a batch."""
     family, p = family_and_prime

@@ -118,10 +118,19 @@ def test_density_counts_by_double_sum(lead, rest, n):
     assert payload["coprimality_count"] == sum(math.gcd(l, b) == 1 for l in lcms for b in range(1, n + 1))
 
 
-@pytest.mark.parametrize("out", [False, True])
-def test_density_factorizes_each_column_once(monkeypatch, out):
-    """prime_set reads the factorization the moduli search made for its column,
-    so density takes at most one factorize per column."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--poly", "1,1", "--n", "400"),
+        ("density", "--poly", "1,1", "--n", "400", "--out", os.devnull),
+        ("count", "--poly", "1,1", "--n", "400"),
+    ],
+    ids=["density", "density-out", "count"],
+)
+def test_census_sweeps_factorize_no_column(monkeypatch, argv):
+    """A census sweep sieves every column's primes <= N off its batched root table
+    (ProfileCache.sieve_primes), and prime_set reads the same lists: no column takes a
+    gcd with the primorial, and no number is factorized."""
     calls = []
 
     def spy(m):
@@ -129,9 +138,9 @@ def test_density_factorizes_each_column_once(monkeypatch, out):
         return factorize(m)
 
     monkeypatch.setattr(columns, "factorize", spy)
-    n = 400
-    _density_payload("--poly", "1,1", "--n", str(n), *(("--out", os.devnull) if out else ()))
-    assert 0 < len(calls) <= n
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+    assert calls == []
 
 
 def _spy_batches(monkeypatch):
@@ -166,6 +175,16 @@ def test_count_finds_roots_at_batch_cost(monkeypatch):
     primes = primes_up_to(n)
     lead = sum(family.coeffs[-1] % p == 0 for p in primes)
     assert 0 < len(batches) <= -(-len(primes) // roots._BATCH) + lead
+
+
+def test_density_batches_only_the_primes_the_discriminant_leaves(monkeypatch):
+    """rho reads a cubic Q0's rho at an odd p dividing neither its lead nor its discriminant
+    when the Legendre symbol is -1 (one root), about half the primes, so density hands the
+    Frobenius batches at most 3/5 of the primes <= B = 10^4 (there are 1229), and the sweep
+    adds only the primes <= N that rho did not read."""
+    batches = _spy_batches(monkeypatch)
+    _density_payload("--poly", "3,0,2,1", "--n", "1108")
+    assert sum(map(len, batches)) <= 737
 
 
 def test_coprimality_count_finds_no_roots(monkeypatch):

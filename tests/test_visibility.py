@@ -263,11 +263,44 @@ def _bound_and_columns(draw):
 @example(family=XSQ_X, bound_columns=(100_000, [99990, 100_000]))
 def test_minimal_moduli_match_gcd_scan(family, bound_columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
-    cut to [1, bound], for columns in [1, bound], in any order."""
+    cut to [1, bound], for columns in [1, bound], in any order, on a cache that
+    takes each column's primes from the primorial gcd and on a census sweep's, which sieves them."""
     bound, columns = bound_columns
-    cache = ProfileCache(family, bound)
+    cache, sieved = ProfileCache(family, bound), census._column_cache(family, bound, None)
     for a in columns:
-        assert cache.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
+        assert cache.minimal_moduli(a) == sieved.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
+
+
+def _times(u, v):
+    """The product of two descending coefficient lists."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for k, y in enumerate(v):
+            out[i + k] += x * y
+    return out
+
+
+@st.composite
+def _sieve_families(draw):
+    """Families with a lead divisible by small primes, a square factor R^2 and a factor x^j."""
+    r = [draw(st.sampled_from((1, 2, 6, 30))), *draw(st.lists(st.integers(0, 3), max_size=3))]
+    if draw(st.booleans()):
+        r = _times(r, r)
+    return parse_family(",".join(map(str, r + [0] * draw(st.integers(0, 3)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=_sieve_families(), bound=st.integers(1, 600))
+@example(family=parse_family("1,2,1"), bound=600)  # (x + 1)^2: -1 is a double root at every p
+@example(family=parse_family("30,1,0,0"), bound=600)  # x^3: 0 is a triple root; 2, 3, 5 divide the lead
+@example(family=parse_family("1,1,0"), bound=2)  # x^2 + x at p = 2: every residue is a root
+def test_sieved_column_primes_match_the_primorial_gcd(family, bound):
+    """A census sweep's cache sieves, for every column 1..bound, the primes <= bound
+    that the gcd of P(a) with the primorial of the bound has."""
+    cache = census._column_cache(family, bound, None)
+    primorial = math.prod(primes_up_to(bound))
+    for a in range(1, bound + 1):
+        assert cache._smooth_primes(a) == [p for p, _ in factorize(math.gcd(family.eval(a), primorial))], a
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,11 +343,11 @@ def test_profile_cache_reads_a_root_table_filled_by_rho(family, n, where, data):
 
 
 def test_root_table_of_another_family_is_refused():
-    family = parse_family("1,1,1")  # Q0 = x^2 + x + 1: rho reads the table's gcds
+    family = parse_family("1,0,0,0,1")  # Q0 = x^4 + 1: rho reads the table's gcds at every prime
     table = RootTable(family.coeffs)
     with pytest.raises(ValueError, match="cannot serve"):
         census.rho(XSQ, [2, 3], table)
-    assert census.rho(family, [2, 3, 5, 7], table) == census.rho(family, [2, 3, 5, 7]) == [1, 2, 1, 3]
+    assert census.rho(family, [2, 3, 5, 17], table) == census.rho(family, [2, 3, 5, 17]) == [2, 1, 1, 5]
 
 
 @pytest.mark.parametrize(
