@@ -7,8 +7,8 @@ sum over them, from one term list per column (`_ie_terms`). Counts over
 [1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
 which callers may share: a modulus above N marks no b <= N. Such a sweep
 reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots
-for the sweeps over moduli and, on a cache of bound N, sieves each column's
-primes off them; `coprimality_count` reads only prime sets, needing no roots.
+for the sweeps over moduli and sieves each column's primes off them, as the
+grid commands do; `coprimality_count` reads only prime sets, needing no roots.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
@@ -58,8 +58,8 @@ def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli
 
     A sweep that reads moduli gets the primes <= n that its root table lacks
     batched into it (`rho` may have read some primes off the discriminant), and
-    then, on a cache whose bound is n, every column's primes sieved off those
-    roots (`ProfileCache.sieve_primes`): no gcd with the primorial, no factorize.
+    then its window 1..n sieved (`ProfileCache.sieve_primes`): no gcd with the
+    primorial, no factorize, unless a shared cache's bound passes 6n.
     One that reads only prime sets (moduli=False) needs no roots, and keeps the gcds.
     """
     _check_n(n)
@@ -69,8 +69,7 @@ def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli
         raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
     if moduli:
         cache.roots.gcds(primes_up_to(n))
-        if cache.bound == n:
-            cache.sieve_primes()
+        cache.sieve_primes(1, n)
     return cache
 
 

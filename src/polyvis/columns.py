@@ -64,10 +64,11 @@ class ProfileCache:
     a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again. roots is the `RootTable` of
-    P / x that the column classes read: a census sweep fills it in batches
-    first and then sieves every column's primes off it (`census._column_cache`,
-    `sieve_primes`); else each prime's roots are found when read, and each
-    column's primes come from a gcd with the primorial of the bound.
+    P / x that the column classes read: census and grid sweeps over a window
+    at least a sixth of the bound wide fill it in batches first and sieve
+    their columns' primes off it (`sieve_primes`); else each prime's roots are
+    found when read, and each column's primes come from a gcd with the
+    primorial of the bound.
     """
 
     def __init__(self, family: PolyFamily, bound: int):
@@ -160,20 +161,26 @@ class ProfileCache:
             stack += reversed(children)  # smaller m first
         return _minimal_by_divisibility(set(found))
 
-    def sieve_primes(self) -> None:
-        """Fill the _smooth_primes of every column 1..bound at once: p | P(a) exactly when a mod p
-        is a root of P, so each prime p <= bound strides over its roots, {0} and the table's
-        (`_classes(p, 1)`). Batch the primes <= bound into `roots` first, or each is found alone."""
-        lists = [[] for _ in range(self.bound + 1)]
-        for p in primes_up_to(self.bound):
+    def sieve_primes(self, lo: int, hi: int) -> None:
+        """Fill the _smooth_primes of the columns lo..hi at once, when the window is at least a
+        sixth of the bound wide: batch the primes p <= bound into `roots`; p | P(a) exactly when a
+        mod p is a root of P, {0} or the table's (`_classes(p, 1)`), so p strides from the first
+        a >= lo in each root class. The batches cost about pi(bound) Frobenius powers, so at degree
+        16 the sieve stops paying near a window an eighth of the bound wide (README): a narrower
+        window keeps its gcds."""
+        if self.bound > 6 * (hi - lo + 1):
+            return
+        primes, lists = primes_up_to(self.bound), [[] for _ in range(lo, hi + 1)]
+        self.roots.gcds(primes)
+        for p in primes:
             for r, _ in self._classes(p, 1):
-                for row in lists[r or p :: p]:
+                for row in lists[(r - lo) % p :: p]:
                     row.append(p)
-        self._primes.update(enumerate(lists))
+        self._primes.update(zip(range(lo, hi + 1), lists))
 
     def _smooth_primes(self, a: int) -> list[int]:
-        """The primes <= bound dividing P(a), ascending: sieved (`sieve_primes`), or one gcd with
-        the primorial of the bound and one factorize per column."""
+        """The primes <= bound dividing P(a), ascending: sieved over a window (`sieve_primes`), or
+        else one gcd with the primorial of the bound and one factorize per column."""
         if a not in self._primes:
             self._primes[a] = [p for p, _ in factorize(gcd(self.value(a), _primorial(self.bound)))]
         return self._primes[a]

@@ -6,6 +6,8 @@ square [x, x+k] x [y, y+k] holds a visible point, so a point of radius
 r >= 1 is the corner of an all-invisible r-by-r block and the radius
 search takes its candidates from the block scanner. Scan order is frozen
 everywhere: x ascending outer, y ascending inner.
+Each scan sieves its columns' primes off a batched root table when its
+column window is at least a sixth of its cache's bound wide (`ProfileCache.sieve_primes`).
 """
 
 from __future__ import annotations
@@ -75,9 +77,16 @@ def multiples_mask(mods, lo: int, hi: int) -> bytearray:
     return mask
 
 
+def _region_cache(family: PolyFamily, region: Region) -> ProfileCache:
+    """A cache for the region's points, its columns' primes sieved where that pays (`sieve_primes`)."""
+    cache = ProfileCache(family, region.extent)
+    cache.sieve_primes(region.min_x, region.max_x)
+    return cache
+
+
 def classify_region(family: PolyFamily, region: Region) -> list[bytes]:
     """Visibility flags (0/1), one bytes per column: grid[i][j] is (min_x+i, min_y+j)."""
-    cache = ProfileCache(family, region.extent)
+    cache = _region_cache(family, region)
     flip = bytes.maketrans(b"\0\1", b"\1\0")  # the sieve marks the invisible points
     return [
         bytes(multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y)).translate(flip)
@@ -145,12 +154,12 @@ def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x
 
 def find_block(family: PolyFamily, size: int, region: Region) -> BlockHit | None:
     """First (x asc, then y asc) corner of an all-invisible size x size block."""
-    return next(_iter_blocks(ProfileCache(family, region.extent), size, region), None)
+    return next(_iter_blocks(_region_cache(family, region), size, region), None)
 
 
 def find_all_blocks(family: PolyFamily, size: int, region: Region) -> list[BlockHit]:
     """Every block corner in the region, in scan order."""
-    return list(_iter_blocks(ProfileCache(family, region.extent), size, region))
+    return list(_iter_blocks(_region_cache(family, region), size, region))
 
 
 def blocks_to_csv(hits, path) -> None:
@@ -186,7 +195,7 @@ def find_point_with_radius(family: PolyFamily, region: Region, r: int) -> Lattic
     whose rings 0 .. r-1 the block scan has cleared, so only ring r is read.
     For r = 0, ring 0 is the point itself.
     """
-    cache = ProfileCache(family, region.grown(r).extent)
+    cache = _region_cache(family, region.grown(r))
     if r == 0:
         xs, ys = range(region.min_x, region.max_x + 1), range(region.min_y, region.max_y + 1)
         candidates = (LatticePoint(i, j) for i in xs for j in ys)

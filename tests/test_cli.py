@@ -195,6 +195,31 @@ def test_coprimality_count_finds_no_roots(monkeypatch):
     assert batches == []
 
 
+def test_blocks_sieve_their_columns_at_batch_cost(monkeypatch, tmp_path):
+    """blocks --max scans the columns 1..1000 of a cache of bound 1000, so it batches the
+    roots of the 168 primes <= 1000 before the first column and sieves every column's
+    primes off them: no factorize call (the gcd path makes 999), and 11 batches, not 168
+    batches of one as when each prime's roots are found when a column first reads it."""
+    calls = []
+    monkeypatch.setattr(columns, "factorize", lambda m: calls.append(m) or factorize(m))
+    batches = _spy_batches(monkeypatch)
+    argv = ["blocks", "--poly", "1,1,1,1", "--size", "2", "--max", "1000,1000", "--all", "--out", str(tmp_path / "b.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == []
+    assert 0 < len(batches) <= 12
+
+
+def test_far_classify_keeps_the_gcd_path(monkeypatch):
+    """A window of 200 columns at a bound of 10^5 reads the roots of few of the 9592 primes
+    <= 10^5, so it keeps one primorial gcd per column and finds only the roots it reads:
+    306 primes reach the Frobenius batches. A window sieve would hand over all 9592."""
+    batches = _spy_batches(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["classify", "--poly", "1,1,1,1", "--region", "99801,100000,1,200"]) == 0
+    assert sum(map(len, batches)) <= 306
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_density_counts_do_not_depend_on_the_prime_bound(tmp_path, out):
     """A table filled to B = 2, to B = N or past N serves the columns alike: only the

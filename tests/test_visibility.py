@@ -264,11 +264,15 @@ def _bound_and_columns(draw):
 def test_minimal_moduli_match_gcd_scan(family, bound_columns):
     """ProfileCache(family, bound).minimal_moduli(a) is the gcd-scan minimal set
     cut to [1, bound], for columns in [1, bound], in any order, on a cache that
-    takes each column's primes from the primorial gcd and on a census sweep's, which sieves them."""
+    takes each column's primes from the primorial gcd, on a census sweep's, which sieves them,
+    and on one sieved over the window from the least column read to the bound, as a grid's."""
     bound, columns = bound_columns
     cache, sieved = ProfileCache(family, bound), census._column_cache(family, bound, None)
+    window = ProfileCache(family, bound)
+    window.sieve_primes(min(columns), bound)
     for a in columns:
-        assert cache.minimal_moduli(a) == sieved.minimal_moduli(a) == _gcd_scan_minimal(family, a, bound), a
+        want = _gcd_scan_minimal(family, a, bound)
+        assert cache.minimal_moduli(a) == sieved.minimal_moduli(a) == window.minimal_moduli(a) == want, a
 
 
 def _times(u, v):
@@ -289,17 +293,33 @@ def _sieve_families(draw):
     return parse_family(",".join(map(str, r + [0] * draw(st.integers(0, 3)))))
 
 
+@st.composite
+def _windows(draw):
+    """(bound, lo, hi): a bound in [1, 600] and a window of columns lo..hi inside 1..bound."""
+    bound = draw(st.integers(1, 600))
+    width = draw(st.integers(1, bound))
+    lo = draw(st.integers(1, bound - width + 1))
+    return bound, lo, lo + width - 1
+
+
 @settings(max_examples=100, deadline=None)
-@given(family=_sieve_families(), bound=st.integers(1, 600))
-@example(family=parse_family("1,2,1"), bound=600)  # (x + 1)^2: -1 is a double root at every p
-@example(family=parse_family("30,1,0,0"), bound=600)  # x^3: 0 is a triple root; 2, 3, 5 divide the lead
-@example(family=parse_family("1,1,0"), bound=2)  # x^2 + x at p = 2: every residue is a root
-def test_sieved_column_primes_match_the_primorial_gcd(family, bound):
-    """A census sweep's cache sieves, for every column 1..bound, the primes <= bound
-    that the gcd of P(a) with the primorial of the bound has."""
-    cache = census._column_cache(family, bound, None)
+@given(family=_sieve_families(), window=_windows())
+@example(family=parse_family("1,2,1"), window=(600, 1, 600))  # (x + 1)^2: -1 is a double root at every p
+@example(family=parse_family("30,1,0,0"), window=(600, 1, 600))  # x^3: 0 is a triple root; 2, 3, 5 divide the lead
+@example(family=parse_family("1,1,0"), window=(2, 1, 2))  # x^2 + x at p = 2: every residue is a root
+@example(family=parse_family("1,2,1"), window=(600, 401, 500))  # starts past its width, a sixth of the bound wide
+@example(family=parse_family("30,1,0,0"), window=(600, 1, 99))  # one column short of a sixth: the gcds
+@example(family=parse_family("1,1,0"), window=(600, 550, 560))  # far from column 1: the gcds
+def test_sieved_column_primes_match_the_primorial_gcd(family, window):
+    """ProfileCache.sieve_primes(lo, hi) sieves, for every column of a window at least a sixth
+    of the bound wide, the primes <= bound that the gcd of P(a) with the primorial of the bound
+    has; a narrower window is left to those gcds, which the same property then checks."""
+    bound, lo, hi = window
+    cache = ProfileCache(family, bound)
+    cache.sieve_primes(lo, hi)
+    assert (lo in cache._primes) == (bound <= 6 * (hi - lo + 1))
     primorial = math.prod(primes_up_to(bound))
-    for a in range(1, bound + 1):
+    for a in range(lo, hi + 1):
         assert cache._smooth_primes(a) == [p for p, _ in factorize(math.gcd(family.eval(a), primorial))], a
 
 
