@@ -5,10 +5,9 @@ the end. Column a is invisible exactly at multiples of its minimal moduli,
 so every count, the per-N prefix rows too, is the paper's exact double
 sum over them, from one term list per column (`_ie_terms`). Counts over
 [1,N]^2 read their columns from a ProfileCache(family, N') with N' >= N,
-which callers may share: a modulus above N marks no b <= N. Such a sweep
-reads every prime p <= N (p | P(p)), so `_column_cache` batches their roots
-for the sweeps over moduli and sieves each column's primes off them, as the
-grid commands do; `coprimality_count` reads only prime sets, needing no roots.
+which callers may share: a modulus above N marks no b <= N. Every sweep hands
+its columns 1..N to `ProfileCache.sieve_primes` (`_column_cache`), as the grid
+commands do; a second sweep of a shared cache finds them sieved.
 
 The density constants are Euler products over primes p <= B of
 (1 - rho_P(p)/p^2). `rho` counts the roots of P over F_p for a whole list
@@ -53,23 +52,15 @@ def check_prime_bound(prime_bound: int) -> None:
         raise ResourceLimitError(f"prime bound {prime_bound} exceeds the cap {PRIME_BOUND_CAP}")
 
 
-def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None, moduli: bool = True) -> ProfileCache:
-    """cache (refused unless it holds family's columns up to n) or a new one.
-
-    A sweep that reads moduli gets the primes <= n that its root table lacks
-    batched into it (`rho` may have read some primes off the discriminant), and
-    then its window 1..n sieved (`ProfileCache.sieve_primes`): no gcd with the
-    primorial, no factorize, unless a shared cache's bound passes 6n.
-    One that reads only prime sets (moduli=False) needs no roots, and keeps the gcds.
-    """
+def _column_cache(family: PolyFamily, n: int, cache: ProfileCache | None) -> ProfileCache:
+    """cache (refused unless it holds family's columns up to n) or a new one, its columns
+    1..n handed to `ProfileCache.sieve_primes`, which decides how they get their primes."""
     _check_n(n)
     if cache is None:
         cache = ProfileCache(family, n)
     elif cache.family != family or cache.bound < n:
         raise ValueError(f"a cache of {cache.family.spec} up to {cache.bound} cannot count {family.spec} up to {n}")
-    if moduli:
-        cache.roots.gcds(primes_up_to(n))
-        cache.sieve_primes(1, n)
+    cache.sieve_primes(1, n)
     return cache
 
 
@@ -244,10 +235,11 @@ def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = N
     A subset of the visible pairs: the lcm certificate is sufficient for
     visibility, not necessary. Primes above N mark no b <= N, so column a
     takes the Moebius sum over the products <= N of the distinct primes <= N
-    of L_P(a) (`ProfileCache.prime_set`): the pruned sum of exact_count_ie,
-    whose lcms of distinct primes are their products. cache is as in density_rows.
+    of L_P(a) (`ProfileCache.prime_set`, off the columns sieved as in every sweep):
+    the pruned sum of exact_count_ie, whose lcms of distinct primes are their
+    products. cache is as in density_rows.
     """
-    cache = _column_cache(family, n, cache, moduli=False)
+    cache = _column_cache(family, n, cache)
     total = 0
     for a in range(1, n + 1):
         terms = [(1, 1)]

@@ -64,11 +64,11 @@ class ProfileCache:
     a < 1 and rows b < 1 lie off the lattice and are refused. Censuses,
     grids and block scans ask for each column once; only the radius search,
     whose rings overlap, reads a column again. roots is the `RootTable` of
-    P / x that the column classes read: census and grid sweeps over a window
-    at least a sixth of the bound wide fill it in batches first and sieve
-    their columns' primes off it (`sieve_primes`); else each prime's roots are
-    found when read, and each column's primes come from a gcd with the
-    primorial of the bound.
+    P / x that the column classes read. Census and grid sweeps hand their
+    window to `sieve_primes`: one at least a sixth of the bound wide fills the
+    table in batches first and sieves its columns' primes off it, and one
+    sieved before is left as it is; else each prime's roots are found when
+    read, and each column's primes come from a gcd with the primorial of the bound.
     """
 
     def __init__(self, family: PolyFamily, bound: int):
@@ -167,8 +167,9 @@ class ProfileCache:
         mod p is a root of P, {0} or the table's (`_classes(p, 1)`), so p strides from the first
         a >= lo in each root class. The batches cost about pi(bound) Frobenius powers, so at degree
         16 the sieve stops paying near a window an eighth of the bound wide (README): a narrower
-        window keeps its gcds."""
-        if self.bound > 6 * (hi - lo + 1):
+        window keeps its gcds. A window whose column hi has its primes, sieved before or read
+        through by an ascending sweep, is left as it is."""
+        if self.bound > 6 * (hi - lo + 1) or hi in self._primes:
             return
         primes, lists = primes_up_to(self.bound), [[] for _ in range(lo, hi + 1)]
         self.roots.gcds(primes)
@@ -258,11 +259,8 @@ class ProfileCache:
         return self.value(a) // self._prefix[min(a, self.family.degree) - 1]
 
     def prime_set(self, a: int) -> tuple[int, ...]:
-        """Primes <= bound dividing L_P(a), ascending.
-
-        L_P(a) divides P(a), so they are among the _smooth_primes(a), which
-        a census sweep has sieved, or the moduli search has factorized already.
-        """
+        """Primes <= bound dividing L_P(a), ascending: L_P(a) | P(a), so they are among the
+        _smooth_primes(a), which every census sweep hands to `sieve_primes` first."""
         la = self.lcm(a)
         return tuple(p for p in self._smooth_primes(a) if la % p == 0)
 

@@ -246,8 +246,10 @@ def test_coprimality_values():
 
 def test_coprimality_count_degree_16_factors_only_n_smooth_parts(monkeypatch):
     """At degree 16, P(a) has up to 41 digits at N = 300. The count must equal
-    the lcm certificate taken literally from modulus(), and every number
-    factorized must divide the primorial of N, never P(a) itself."""
+    the lcm certificate taken literally from modulus(), on a cache of its own,
+    which sieves and factorizes nothing, and on a cache of bound 7N, past the
+    sieve's width rule, whose columns take the gcd path: every number that path
+    factorizes must divide the primorial of the bound, never P(a) itself."""
     family = parse_family("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3")
     n = 300
     expected = 0
@@ -262,7 +264,9 @@ def test_coprimality_count_degree_16_factors_only_n_smooth_parts(monkeypatch):
 
     monkeypatch.setattr(columns, "factorize", spy)
     assert coprimality_count(family, n) == expected
-    primorial = math.prod(primes_up_to(n))
+    assert factorized == []
+    assert coprimality_count(family, n, visibility.ProfileCache(family, 7 * n)) == expected
+    primorial = math.prod(primes_up_to(7 * n))
     assert factorized and all(primorial % m == 0 for m in factorized)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family, roots
+from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family, polyfam, roots
 from polyvis.arith import factorize, primes_up_to
 from polyvis.cli import main
 from polyvis.geometry import Region
@@ -187,12 +187,50 @@ def test_density_batches_only_the_primes_the_discriminant_leaves(monkeypatch):
     assert sum(map(len, batches)) <= 737
 
 
-def test_coprimality_count_finds_no_roots(monkeypatch):
-    """coprimality_count reads only prime sets, which need no roots, so its own column
-    cache makes no Frobenius batch."""
+def test_coprimality_count_sieves_at_batch_cost(monkeypatch):
+    """coprimality_count on a cache of its own sieves its columns 1..N as count does
+    (ProfileCache.sieve_primes): no factorize call, and at most ceil(pi(N) / _BATCH)
+    batches, one more for each prime that divides the leading coefficient."""
+    family, n = parse_family("3,0,2,1"), 1108
+    calls = []
+    monkeypatch.setattr(columns, "factorize", lambda m: calls.append(m) or factorize(m))
     batches = _spy_batches(monkeypatch)
-    assert census.coprimality_count(parse_family("3,0,2,1"), 1108) > 0
-    assert batches == []
+    assert census.coprimality_count(family, n) > 0
+    primes = primes_up_to(n)
+    lead = sum(family.coeffs[-1] % p == 0 for p in primes)
+    assert calls == []
+    assert 0 < len(batches) <= -(-len(primes) // roots._BATCH) + lead
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["density", "density-out"])
+def test_density_sieves_its_columns_once(monkeypatch, out):
+    """density sweeps one cache twice, for the count and for coprimality_count; the second
+    sweep finds column N's primes sieved and strides nothing again, so the sieve lists the
+    primes <= N once: one columns.primes_up_to call in all."""
+    calls = []
+    monkeypatch.setattr(columns, "primes_up_to", lambda b: calls.append(b) or primes_up_to(b))
+    _density_payload("--poly", "1,1", "--n", "400", *(["--out", os.devnull] if out else []))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, point, witness",
+    [("1", "99996,8333", 12), ("2,5", "99991,77", None), ("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3", "99991,1", None)],
+    ids=["x-witness-12", "lcm-certified", "degree-16"],
+)
+def test_visible_evaluates_p_few_times(monkeypatch, spec, point, witness):
+    """visible reads P(a) and P(1..min(a, deg P)) for the lcm certificate, once for the
+    verdict and once for the payload, and P(a) for gcd_p: 2 deg P + 3 values. A point the
+    certificate leaves open adds P(a) and P(t) for t up to its smallest witness, not for
+    every t < a, which would be about 10^5 values here."""
+    calls = []
+    eval_ = polyfam.PolyFamily.eval
+    monkeypatch.setattr(polyfam.PolyFamily, "eval", lambda self, x: calls.append(x) or eval_(self, x))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["visible", "--poly", spec, "--point", point]) == 0
+    assert json.loads(buf.getvalue())["payload"].get("witness_t") == witness
+    assert len(calls) <= 2 * parse_family(spec).degree + 3 + (1 + witness if witness else 0)
 
 
 def test_blocks_sieve_their_columns_at_batch_cost(monkeypatch, tmp_path):
