@@ -5,7 +5,10 @@ sit" for a family. The radius of (x, y) is the smallest k for which the
 square [x, x+k] x [y, y+k] holds a visible point, so a point of radius
 r >= 1 is the corner of an all-invisible r-by-r block and the radius
 search takes its candidates from the block scanner. Scan order is frozen
-everywhere: x ascending outer, y ascending inner.
+everywhere: x ascending outer, y ascending inner. The block scanner reads
+each window from its right end and, at the first column that rules the window
+out, moves past every corner whose window holds that column, so it computes the
+moduli of only part of its columns.
 Each scan sieves its columns' primes off a batched root table when its
 column window is at least a sixth of its cache's bound wide (`ProfileCache.sieve_primes`).
 """
@@ -13,7 +16,7 @@ column window is at least a sixth of its cache's bound wide (`ProfileCache.sieve
 from __future__ import annotations
 
 import operator
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import reduce
 from itertools import compress
 
@@ -121,25 +124,34 @@ def region_to_csv(grid: list[bytes], region: Region, path) -> None:
 def _iter_blocks(cache: ProfileCache, size: int, region: Region):
     """Every all-invisible size x size block in the region, in scan order.
 
-    A sliding window holds the size columns under the current corner x, so
-    each column is sieved once however many corners it belongs to. Column
-    masks are ints, bit 8j for row min_y + j: the AND of the window, ANDed
-    with its copies shifted down by 1 .. size-1 rows, keeps the corner rows.
+    Column masks are ints, bit 8j for row min_y + j; a column's runs are its mask
+    ANDed with its copies shifted down by 1 .. size-1 rows, the rows y whose
+    [y, y+size-1] it leaves invisible, and the AND of a window's runs is its corner rows.
+    The window of corner x is read from its right end, column x+size-1, down to x.
+    When the AND empties at column a, every corner x .. a holds a in its window, so
+    the scan moves on to corner a+1 and never reads the columns left of a:
+    the skip rule of Boyer and Moore (CACM 20(10), 1977). Runs are kept only for
+    the columns of the window ahead, at most size of them.
     """
     if size < 1:
         raise ValueError(f"block size must be >= 1, got {size}")
-    window: deque[int] = deque(maxlen=size)
-    for a in range(region.min_x, region.max_x + 1):
-        mask = multiples_mask(cache.minimal_moduli(a), region.min_y, region.max_y)
-        window.append(int.from_bytes(mask, "little"))
-        if len(window) < size:
-            continue
-        rows = reduce(operator.and_, window)
-        run = reduce(operator.and_, (rows >> 8 * dy for dy in range(1, size)), rows)
-        if not run:
-            continue
-        for y in compress(range(region.min_y, region.max_y + 1), run.to_bytes(region.height, "little")):
-            yield BlockHit(LatticePoint(a - size + 1, y), size)
+    x, runs = region.min_x, []  # runs[i]: column x+i's, once read; None before
+    while x + size - 1 <= region.max_x:
+        runs += [None] * (size - len(runs))
+        rows = -1
+        for i in reversed(range(size)):
+            if runs[i] is None:
+                mask = multiples_mask(cache.minimal_moduli(x + i), region.min_y, region.max_y)
+                mask = int.from_bytes(mask, "little")
+                runs[i] = reduce(operator.and_, (mask >> 8 * dy for dy in range(1, size)), mask)
+            rows &= runs[i]
+            if not rows:
+                break
+        else:  # i is 0: the corner holds blocks
+            for y in compress(range(region.min_y, region.max_y + 1), rows.to_bytes(region.height, "little")):
+                yield BlockHit(LatticePoint(x, y), size)
+        del runs[: i + 1]
+        x += i + 1
 
 
 def scan_block_range(family: PolyFamily, size: int, region: Region, x_lo: int, x_hi: int) -> BlockHit | None:

@@ -248,6 +248,28 @@ def test_blocks_sieve_their_columns_at_batch_cost(monkeypatch, tmp_path):
     assert 0 < len(batches) <= 12
 
 
+@pytest.mark.parametrize(
+    "argv, columns_read",
+    [
+        (["blocks", "--poly", "4,9", "--size", "2", "--max", "1000,1000", "--all", "--out", "{out}"], 600),
+        (["reproduce", "--target", "table1", "--rows", "7,13,14"], 1800),
+        (["radius", "--poly", "1,1", "--region", "98001,99996,1,1996", "--r", "4"], 550),
+    ],
+    ids=["blocks", "table1", "far-radius"],
+)
+def test_block_scans_skip_columns(monkeypatch, tmp_path, argv, columns_read):
+    """The block scan reads each window from its right end and moves past a column whose
+    runs empty the window's AND, so it computes the moduli of a fraction of the columns:
+    555 of 1000, 1721 of 3000 and 499 of 1999 here. A scan that reads every column, as a
+    sliding window does, computes them all."""
+    calls = []
+    moduli = columns.ProfileCache._moduli
+    monkeypatch.setattr(columns.ProfileCache, "_moduli", lambda self, a: calls.append(a) or moduli(self, a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(tmp_path / "b.csv") if arg == "{out}" else arg for arg in argv]) == 0
+    assert 0 < len(calls) <= columns_read
+
+
 def test_far_classify_keeps_the_gcd_path(monkeypatch):
     """A window of 200 columns at a bound of 10^5 reads the roots of few of the 9592 primes
     <= 10^5, so it keeps one primorial gcd per column and finds only the roots it reads:

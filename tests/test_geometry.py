@@ -142,13 +142,19 @@ def block_cases(draw):
     region = Region(min_x, min_x + draw(st.integers(0, 39)), min_y, min_y + draw(st.integers(0, 99)))
     cut1 = draw(st.integers(region.min_x - 1, region.max_x))
     cut2 = draw(st.integers(cut1, region.max_x))
-    return family, draw(st.integers(1, 3)), region, cut1, cut2
+    return family, draw(st.integers(1, 5)), region, cut1, cut2
 
 
 @settings(max_examples=200, deadline=None)
 @given(block_cases())
+@example((X, 2, Region(1, 20, 1, 30), 0, 20))  # column 2, right end of the first window, has no run
+@example((X, 3, Region(103, 110, 1, 60), 104, 106))  # columns 104 and 105 have runs, but their AND none
+@example((XSQ_X, 2, Region(10, 16, 190, 200), 12, 14))  # corner 13, (13, 195), reuses column 13's runs
+@example((X, 4, Region(5, 7, 1, 50), 4, 7))  # narrower than the block: no corner
+@example((X, 1, Region(1, 12, 1, 12), 3, 8))  # size 1: every invisible point
 def test_block_scans_agree(case):
-    """find_all_blocks, find_block and a 3-way scan_block_range split see the same blocks."""
+    """find_all_blocks, find_block and a 3-way scan_block_range split see the same blocks;
+    the examples cover each way the scan leaves a corner."""
     family, size, region, cut1, cut2 = case
     hits = find_all_blocks(family, size, region)
     first = find_block(family, size, region)
@@ -188,7 +194,7 @@ def test_fast_paths_match_is_visible_direct(case):
         for x in range(region.min_x, region.max_x + 1)
     ]
     assert [list(map(bool, col)) for col in grid] == truth
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         assert find_all_blocks(family, size, region) == [
             BlockHit(LatticePoint(region.min_x + i, region.min_y + j), size)
             for i in range(region.width - size + 1)
