@@ -24,9 +24,8 @@ from math import gcd, lcm
 from .arith import factorize, primes_up_to
 from .columns import ProfileCache
 from .errors import ResourceLimitError
-from .polyfam import LatticePoint, PolyFamily
+from .polyfam import LatticePoint, PolyFamily, parse_family
 from .roots import RootTable
-from .visibility import is_visible_direct, modulus
 
 PRIME_BOUND_CAP = 1_000_000  # the prime sieve takes B bytes; LATTICE_SCOPE_CAP leaves this alone
 _SUBSET_COLUMN_CAP = 26  # 2^(a-1) terms per column beyond this is hopeless
@@ -39,9 +38,12 @@ CensusResult = namedtuple("CensusResult", "n visible_count density_estimate")
 ConstantResult = namedtuple("ConstantResult", "value prime_bound tail_bound")
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, limit: int | None = None) -> None:
+    """Raise unless N >= 1 and, when the command line gives its N cap limit, N <= limit."""
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
+    if limit is not None and n > limit:
+        raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
 
 
 def check_prime_bound(prime_bound: int) -> None:
@@ -96,6 +98,8 @@ def empirical_density(family: PolyFamily, n: int) -> CensusResult:
 
 def brute_count(family: PolyFamily, n: int) -> int:
     """Pointwise ground truth straight from the definition. Slow on purpose."""
+    from .visibility import is_visible_direct
+
     _check_n(n)
     if n > _ORACLE_N_CAP:
         raise ResourceLimitError(f"the oracle count is O(N^3) work; N={n} exceeds {_ORACLE_N_CAP}")
@@ -108,6 +112,8 @@ def brute_count(family: PolyFamily, n: int) -> int:
 
 def subset_count(family: PolyFamily, n: int) -> int:
     """exact_count_ie's sum run literally over all 2^(a-1) subsets of every m_{a,t}: a cross-check."""
+    from .visibility import modulus
+
     _check_n(n)
     if n > _SUBSET_COLUMN_CAP:
         raise ResourceLimitError(f"subset-enumeration is 2^(a-1) work per column; N={n} exceeds {_SUBSET_COLUMN_CAP}")
@@ -247,3 +253,41 @@ def coprimality_count(family: PolyFamily, n: int, cache: ProfileCache | None = N
             terms += [(l * p, -s) for l, s in terms if l * p <= n]
         total += sum(s * (n // l) for l, s in terms)
     return total
+
+
+def cmd_density(args):
+    from .cli import DEFAULT_N_CAP, scope_cap
+
+    fam = parse_family(args.poly)
+    n_cap = scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
+    check_prime_bound(args.prime_bound)
+    _check_n(args.n, n_cap)
+    cache = ProfileCache(fam, args.n)
+    if args.out is not None:
+        open(args.out, "a").close()  # an unwritable path fails before the census
+    constant = constant_cp(fam, args.prime_bound, cache.roots)  # roots <= B it reads; the sweep adds <= N
+    if args.out is not None:
+        rows = density_rows(fam, args.n, cache)
+        with open(args.out, "wb") as fh:
+            fh.write(b"N,visible_count,density\r\n" + b"".join(b"%d,%d,%r\r\n" % row for row in rows))
+        visible_count = rows[-1][1]
+    else:
+        visible_count = exact_count_ie(fam, args.n, cache=cache)
+    payload = {
+        "n": args.n,
+        "visible_count": visible_count,
+        "density": visible_count / (args.n * args.n),
+        "coprimality_count": coprimality_count(fam, args.n, cache),
+        "c_p_constant": constant.value,
+        "tail_bound": constant.tail_bound,
+    }
+    return fam.spec, payload, 0
+
+
+def cmd_count(args):
+    from .cli import DEFAULT_N_CAP, scope_cap
+
+    fam = parse_family(args.poly)
+    _check_n(args.n, scope_cap(DEFAULT_N_CAP))
+    counter = {"oracle": brute_count, "pruned": exact_count_ie, "subsets": subset_count}
+    return fam.spec, {"n": args.n, "count": counter[args.mode](fam, args.n), "mode": args.mode}, 0

@@ -15,7 +15,7 @@ elapsed_ms} on stdout; CSV output goes to the --out path. Exit codes:
 that cannot be written, 3 resource cap exceeded. run(), the process
 entry, freezes the heap on every way out: the collections at exit skip it.
 
-Scope caps, all checked here before any census or geometry call:
+Scope caps, all checked by the helpers here before any census or geometry call:
 N <= 10000 (density, count); regions <= 2000 per side (blocks, classify,
 and radius, which counts its region grown by r); coordinates of --point
 (visible, construct) and of region corners (blocks --max, classify,
@@ -30,12 +30,16 @@ left alone by LATTICE_SCOPE_CAP: density --prime-bound <= 1000000; count
 --rows with --target illustration or naming no survey row, and an empty
 --out or --rows, are bad input: an empty value is not an absent flag.
 
-Each command pays only for its own work. All load polyfam, errors and
-visibility (one P(a), one gcd, at most one scan). construct and the
-illustration add construct and arith. The others but visible add arith,
-roots, columns and census (density and count: the paper's exact double sum
-over one ProfileCache, with the roots of the primes <= N found in batches
-first) or geometry. No command loads csv: the CSVs are written as bytes.
+Each command pays only for its own work. Its handler cmd_<name> sits
+beside the module it drives (`_COMMANDS`); only visible and reproduce live
+here. The parser registers all eight names but gives arguments only to
+the one argv[0] names, or to all when it names none. All load polyfam and
+errors; visible adds visibility (one P(a), one gcd, at most one scan).
+construct and the illustration add construct and arith. The others add
+arith, roots, columns and census (density and count: the paper's exact
+double sum over one ProfileCache, with the roots of the primes <= N found
+in batches first) or geometry; the oracles and the survey's corner check
+add visibility. No command loads csv: the CSVs are written as bytes.
 `visible` tries the lcm certificate before the O(a) column scan. --out
 is opened before any work, after the input checks.
 """
@@ -48,17 +52,17 @@ import json
 import os
 import sys
 import time
+from importlib import import_module
 
 from .errors import ResourceLimitError
 from .polyfam import LatticePoint, parse_family
-from .visibility import gcd_p, is_visible, is_visible_direct, lcm_criterion
 
 DEFAULT_N_CAP = 10_000
 DEFAULT_REGION_CAP = 2000  # per side
 DEFAULT_COORD_CAP = 100_000
 
 
-def _scope_cap(default: int) -> int:
+def scope_cap(default: int) -> int:
     """LATTICE_SCOPE_CAP when it is set, else default."""
     raw = os.environ.get("LATTICE_SCOPE_CAP")
     if raw is None:
@@ -72,7 +76,7 @@ def _scope_cap(default: int) -> int:
     return cap
 
 
-def _parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
+def parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
     """Comma list of integers, exactly count of them when count is given.
 
     what completes the error message, e.g. "--max must be 'X,Y'".
@@ -86,22 +90,16 @@ def _parse_ints(text: str, what: str, count: int | None = None) -> list[int]:
     return values
 
 
-def _parse_point(text: str) -> LatticePoint:
+def parse_point(text: str) -> LatticePoint:
     """--point, with both coordinates within the coordinate cap."""
-    pt = LatticePoint(*_parse_ints(text, "point must be 'a,b'", 2))
-    limit = _scope_cap(DEFAULT_COORD_CAP)
+    pt = LatticePoint(*parse_ints(text, "point must be 'a,b'", 2))
+    limit = scope_cap(DEFAULT_COORD_CAP)
     if max(pt.a, pt.b) > limit:
         raise ResourceLimitError(f"point {pt.a},{pt.b} exceeds the coordinate cap {limit}")
     return pt
 
 
-def _parse_region(text: str):
-    from .geometry import Region
-
-    return Region(*_parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
-
-
-def _check_region(region, reach: int = 0) -> None:
+def check_region(region, reach: int = 0) -> None:
     """Raise unless the region grown by reach up and right is within the caps:
     its largest coordinate within the coordinate cap, then each side within
     the region cap. A negative reach is refused (`Region.grown`) in between.
@@ -109,25 +107,19 @@ def _check_region(region, reach: int = 0) -> None:
     A column's work and its cache's bound grow with the coordinates, so the
     side cap alone does not bound a region far from the origin.
     """
-    top, limit = region.extent + max(reach, 0), _scope_cap(DEFAULT_COORD_CAP)
+    top, limit = region.extent + max(reach, 0), scope_cap(DEFAULT_COORD_CAP)
     if top > limit:
         raise ResourceLimitError(f"region reaches coordinate {top}, past the coordinate cap {limit}")
-    grown, limit = region.grown(reach), _scope_cap(DEFAULT_REGION_CAP)
+    grown, limit = region.grown(reach), scope_cap(DEFAULT_REGION_CAP)
     if grown.width > limit or grown.height > limit:
         raise ResourceLimitError(f"region {grown.width}x{grown.height} exceeds the {limit}x{limit} cap")
 
 
-def _check_n(n: int, limit: int) -> None:
-    """Raise unless 1 <= N <= limit, the N cap."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    if n > limit:
-        raise ResourceLimitError(f"N={n} exceeds the configured cap {limit}")
-
-
 def cmd_visible(args):
+    from .visibility import gcd_p, is_visible, lcm_criterion
+
     fam = parse_family(args.poly)
-    pt = _parse_point(args.point)
+    pt = parse_point(args.point)
     verdict = is_visible(fam, pt)
     payload = {"visible": verdict.visible}
     if not verdict.visible:
@@ -138,249 +130,92 @@ def cmd_visible(args):
     return fam.spec, payload, 0
 
 
-def cmd_density(args):
-    from . import census
-    from .columns import ProfileCache
-
-    fam = parse_family(args.poly)
-    n_cap = _scope_cap(DEFAULT_N_CAP)  # a bad LATTICE_SCOPE_CAP is reported before a bad prime bound
-    census.check_prime_bound(args.prime_bound)
-    _check_n(args.n, n_cap)
-    cache = ProfileCache(fam, args.n)
-    if args.out is not None:
-        open(args.out, "a").close()  # an unwritable path fails before the census
-    constant = census.constant_cp(fam, args.prime_bound, cache.roots)  # roots <= B it reads; the sweep adds <= N
-    if args.out is not None:
-        rows = census.density_rows(fam, args.n, cache)
-        with open(args.out, "wb") as fh:
-            fh.write(b"N,visible_count,density\r\n" + b"".join(b"%d,%d,%r\r\n" % row for row in rows))
-        visible_count = rows[-1][1]
-    else:
-        visible_count = census.exact_count_ie(fam, args.n, cache=cache)
-    coprime = census.coprimality_count(fam, args.n, cache)
-    payload = {
-        "n": args.n,
-        "visible_count": visible_count,
-        "density": visible_count / (args.n * args.n),
-        "coprimality_count": coprime,
-        "c_p_constant": constant.value,
-        "tail_bound": constant.tail_bound,
-    }
-    return fam.spec, payload, 0
-
-
-def cmd_count(args):
-    from . import census
-
-    fam = parse_family(args.poly)
-    _check_n(args.n, _scope_cap(DEFAULT_N_CAP))
-    counter = {"oracle": census.brute_count, "pruned": census.exact_count_ie, "subsets": census.subset_count}
-    count = counter[args.mode](fam, args.n)
-    return fam.spec, {"n": args.n, "count": count, "mode": args.mode}, 0
-
-
-def cmd_construct(args):
-    from . import construct
-
-    pt = _parse_point(args.point)
-    if args.multi is not None:
-        ells = _parse_ints(args.multi, "--multi must be a comma list of integers")
-        got = construct.construct_multi_prime(pt, ells)
-    else:
-        got = construct.construct_visible(pt, args.prime)
-    return None, got.to_record(), 0
-
-
-def cmd_blocks(args):
-    from . import geometry
-
-    fam = parse_family(args.poly)
-    mx, my = _parse_ints(args.max, "--max must be 'X,Y'", 2)
-    region = geometry.Region(1, mx, 1, my)
-    if args.all != (args.out is not None):
-        raise ValueError("--all and --out go together: --all writes its block corners to --out")
-    _check_region(region)
-    if args.out is not None:
-        open(args.out, "a").close()  # an unwritable path fails before the scan
-    payload = {"scanned_region": [1, mx, 1, my]}
-    if args.all:
-        hits = geometry.find_all_blocks(fam, args.size, region)
-        geometry.blocks_to_csv(hits, args.out)
-        payload["found"] = bool(hits)
-        payload["block_count"] = len(hits)
-        if hits:
-            payload["corner"] = hits[0].to_record()
-    else:
-        hit = geometry.find_block(fam, args.size, region)
-        payload["found"] = hit is not None
-        if hit is not None:
-            payload["corner"] = hit.to_record()
-    return fam.spec, payload, 0
-
-
-def cmd_classify(args):
-    from . import geometry
-
-    fam = parse_family(args.poly)
-    region = _parse_region(args.region)
-    _check_region(region)
-    if args.out is not None:
-        open(args.out, "a").close()  # an unwritable path fails before the grid
-    grid = geometry.classify_region(fam, region)
-    if args.out is not None:
-        geometry.region_to_csv(grid, region, args.out)
-    payload = {
-        "region": [region.min_x, region.max_x, region.min_y, region.max_y],
-        "visible_count": sum(col.count(1) for col in grid),
-        "total": region.width * region.height,
-    }
-    return fam.spec, payload, 0
-
-
-def cmd_radius(args):
-    from . import geometry
-
-    fam = parse_family(args.poly)
-    region = _parse_region(args.region)
-    _check_region(region, args.r)
-    got = geometry.find_point_with_radius(fam, region, args.r)
-    payload = {
-        "found": got is not None,
-        "r": args.r,
-        "region": [region.min_x, region.max_x, region.min_y, region.max_y],
-    }
-    if got is not None:
-        payload["point"] = {"x": got.a, "y": got.b}
-    return fam.spec, payload, 0
-
-
-def _reproduce_illustration():
-    from fractions import Fraction
-    from .construct import construct_visible
-
-    c = construct_visible(LatticePoint(3, 5))
-    checks = [
-        ("curve(1) = 5/7", c.curve.eval(1) == Fraction(5, 7)),
-        ("curve(2) = 50/21", c.curve.eval(2) == Fraction(50, 21)),
-        ("curve(3) = 5", c.curve.eval(3) == 5),
-    ]
-    items = [{"name": name, "passed": ok} for name, ok in checks]
-    return items
-
-
-def _reproduce_survey(rows_filter):
-    from . import geometry
-
-    last = len(geometry.BLOCK_SURVEY)
-    unknown = sorted(rows_filter - set(range(1, last + 1)))
-    if unknown:
-        raise ValueError(f"no survey row {', '.join(map(str, unknown))}: the survey rows are 1 to {last}")
-    region = geometry.Region(1, 1000, 1, 1000)
-    items = []
-    for idx, (a_coeff, b_coeff), corner in geometry.BLOCK_SURVEY:
-        if rows_filter and idx not in rows_filter:
-            continue
-        fam = geometry.survey_family(a_coeff, b_coeff)
-        name = f"row {idx} (A={a_coeff}, B={b_coeff})"
-        if corner is None:
-            hit = geometry.find_block(fam, 2, region)
-            ok = hit is None
-            detail = "no block in [1,1000]^2" if ok else f"unexpected block {hit.to_record()}"
-        else:
-            x, y = corner
-            ok = all(
-                not is_visible_direct(fam, LatticePoint(x + dx, y + dy))
-                for dx in (0, 1)
-                for dy in (0, 1)
-            )
-            detail = f"block at {corner}" if ok else f"listed corner {corner} is not all-invisible"
-        items.append({"name": name, "passed": ok, "detail": detail})
-    return items
-
-
 def cmd_reproduce(args):
     if args.target == "illustration":
         if args.rows is not None:
             raise ValueError("--rows selects survey rows; it applies only to --target table1")
-        items = _reproduce_illustration()
+        from .construct import reproduce_illustration
+
+        items = reproduce_illustration()
     else:
-        rows = [] if args.rows is None else _parse_ints(args.rows, "--rows must be a comma list of integers")
-        items = _reproduce_survey(set(rows))
+        rows = [] if args.rows is None else parse_ints(args.rows, "--rows must be a comma list of integers")
+        from .geometry import reproduce_survey
+
+        items = reproduce_survey(set(rows))
     passed = sum(1 for it in items if it["passed"])
-    payload = {
-        "target": args.target,
-        "items": items,
-        "passed": passed,
-        "total": len(items),
-    }
+    payload = {"target": args.target, "items": items, "passed": passed, "total": len(items)}
     return None, payload, 0 if passed == len(items) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, the module whose cmd_<name> runs it)
+_COMMANDS = {
+    "visible": ("visibility verdict for one point", "cli"),
+    "density": ("exact visible count and density over [1,N]^2", "census"),
+    "count": ("inclusion-exclusion visible-pair count", "census"),
+    "construct": ("curve through (a,b) missing earlier columns", "construct"),
+    "blocks": ("first (or all) all-invisible n x n block", "geometry"),
+    "classify": ("visibility grid over a region", "geometry"),
+    "radius": ("first point whose visibility radius is exactly r", "geometry"),
+    "reproduce": ("re-run the bundled worked example or block survey", "cli"),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or, when command names one, a parser that gives only it
+    arguments. It still registers every name, so argv that starts with command parses,
+    fails and prints help as under the full parser."""
     parser = argparse.ArgumentParser(
         prog="polyvis",
         description="visibility of lattice points along polynomial curve families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("visible", help="visibility verdict for one point")
-    p.add_argument("--poly", required=True, help="coefficients a_n,...,a_1 (descending)")
-    p.add_argument("--point", required=True, help="a,b")
-    p.set_defaults(func=cmd_visible)
-
-    p = sub.add_parser("density", help="exact visible count and density over [1,N]^2")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", help="write per-N prefix densities as CSV")
-    p.add_argument("--prime-bound", type=int, default=10_000, dest="prime_bound")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("count", help="inclusion-exclusion visible-pair count")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("oracle", "pruned", "subsets"), default="pruned")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("construct", help="curve through (a,b) missing earlier columns")
-    p.add_argument("--point", required=True, help="a,b")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--prime", type=int, help="explicit prime > max(a,b)")
-    group.add_argument("--multi", help="comma list of distinct primes to average")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("blocks", help="first (or all) all-invisible n x n block")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--max", required=True, help="X,Y scan bound (region [1,X]x[1,Y])")
-    p.add_argument("--all", action="store_true", help="collect every block corner")
-    p.add_argument("--out", help="CSV path for --all")
-    p.set_defaults(func=cmd_blocks)
-
-    p = sub.add_parser("classify", help="visibility grid over a region")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--region", required=True, help="minx,maxx,miny,maxy")
-    p.add_argument("--out", help="write x,y,visible CSV")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("radius", help="first point whose visibility radius is exactly r")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--region", required=True, help="minx,maxx,miny,maxy")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_radius)
-
-    p = sub.add_parser("reproduce", help="re-run the bundled worked example or block survey")
-    p.add_argument("--target", choices=["illustration", "table1"], required=True)
-    p.add_argument("--rows", help="comma list of survey row numbers to check")
-    p.set_defaults(func=cmd_reproduce)
+    subs = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    built = {command: subs[command]} if command in subs else subs
+    if p := built.get("visible"):
+        p.add_argument("--poly", required=True, help="coefficients a_n,...,a_1 (descending)")
+        p.add_argument("--point", required=True, help="a,b")
+    if p := built.get("density"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out", help="write per-N prefix densities as CSV")
+        p.add_argument("--prime-bound", type=int, default=10_000, dest="prime_bound")
+    if p := built.get("count"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--mode", choices=("oracle", "pruned", "subsets"), default="pruned")
+    if p := built.get("construct"):
+        p.add_argument("--point", required=True, help="a,b")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--prime", type=int, help="explicit prime > max(a,b)")
+        group.add_argument("--multi", help="comma list of distinct primes to average")
+    if p := built.get("blocks"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--max", required=True, help="X,Y scan bound (region [1,X]x[1,Y])")
+        p.add_argument("--all", action="store_true", help="collect every block corner")
+        p.add_argument("--out", help="CSV path for --all")
+    if p := built.get("classify"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--region", required=True, help="minx,maxx,miny,maxy")
+        p.add_argument("--out", help="write x,y,visible CSV")
+    if p := built.get("radius"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--region", required=True, help="minx,maxx,miny,maxy")
+        p.add_argument("--r", type=int, required=True)
+    if p := built.get("reproduce"):
+        p.add_argument("--target", choices=["illustration", "table1"], required=True)
+        p.add_argument("--rows", help="comma list of survey row numbers to check")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     start = time.perf_counter()
+    handler = getattr(import_module(f"{__package__}.{_COMMANDS[args.command][1]}"), f"cmd_{args.command}")
     try:
-        family, payload, code = args.func(args)
+        family, payload, code = handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -250,3 +250,25 @@ def valuation_profile(c: Construction) -> ValuationProfile:
         if coef != 0
     )
     return ValuationProfile(c.ell, pts)
+
+
+def cmd_construct(args):
+    from .cli import parse_ints, parse_point
+
+    pt = parse_point(args.point)
+    if args.multi is not None:
+        got = construct_multi_prime(pt, parse_ints(args.multi, "--multi must be a comma list of integers"))
+    else:
+        got = construct_visible(pt, args.prime)
+    return None, got.to_record(), 0
+
+
+def reproduce_illustration() -> list[dict]:
+    """`reproduce --target illustration`: the worked example's curve through (3, 5) at x = 1, 2, 3."""
+    curve = construct_visible(LatticePoint(3, 5)).curve
+    checks = [
+        ("curve(1) = 5/7", curve.eval(1) == Fraction(5, 7)),
+        ("curve(2) = 50/21", curve.eval(2) == Fraction(50, 21)),
+        ("curve(3) = 5", curve.eval(3) == 5),
+    ]
+    return [{"name": name, "passed": ok} for name, ok in checks]

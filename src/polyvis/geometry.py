@@ -33,11 +33,17 @@ class Region(namedtuple("Region", "min_x max_x min_y max_y")):
 
     def __new__(cls, min_x: int, max_x: int, min_y: int, max_y: int):
         self = super().__new__(cls, min_x, max_x, min_y, max_y)
-        if min_x < 1 or min_y < 1:
-            raise ValueError(f"region coordinates must be >= 1, got {self}")
-        if min_x > max_x or min_y > max_y:
-            raise ValueError(f"empty region {self}")
+        for axis, lo, hi in (("x", min_x, max_x), ("y", min_y, max_y)):
+            if lo < 1:
+                raise ValueError(f"region coordinates must be >= 1, got {self.spec}: min_{axis} {lo} < 1")
+            if lo > hi:
+                raise ValueError(f"empty region {self.spec}: min_{axis} {lo} > max_{axis} {hi}")
         return self
+
+    @property
+    def spec(self) -> str:
+        """min_x,max_x,min_y,max_y, as --region takes it."""
+        return ",".join(map(str, self))
 
     @property
     def width(self) -> int:
@@ -247,3 +253,96 @@ BLOCK_SURVEY = (
 def survey_family(a_coeff: int, b_coeff: int) -> PolyFamily:
     """Quadratic A,B row as a content-normalized family."""
     return parse_family(f"{a_coeff},{b_coeff}")
+
+
+def _parse_region(text: str) -> Region:
+    from .cli import parse_ints
+
+    return Region(*parse_ints(text, "region must be 'minx,maxx,miny,maxy'", 4))
+
+
+def cmd_blocks(args):
+    from .cli import check_region, parse_ints
+
+    fam = parse_family(args.poly)
+    mx, my = parse_ints(args.max, "--max must be 'X,Y'", 2)
+    region = Region(1, mx, 1, my)
+    if args.all != (args.out is not None):
+        raise ValueError("--all and --out go together: --all writes its block corners to --out")
+    check_region(region)
+    if args.out is not None:
+        open(args.out, "a").close()  # an unwritable path fails before the scan
+    payload = {"scanned_region": [1, mx, 1, my]}
+    if args.all:
+        hits = find_all_blocks(fam, args.size, region)
+        blocks_to_csv(hits, args.out)
+        payload["found"] = bool(hits)
+        payload["block_count"] = len(hits)
+        if hits:
+            payload["corner"] = hits[0].to_record()
+    else:
+        hit = find_block(fam, args.size, region)
+        payload["found"] = hit is not None
+        if hit is not None:
+            payload["corner"] = hit.to_record()
+    return fam.spec, payload, 0
+
+
+def cmd_classify(args):
+    from .cli import check_region
+
+    fam = parse_family(args.poly)
+    region = _parse_region(args.region)
+    check_region(region)
+    if args.out is not None:
+        open(args.out, "a").close()  # an unwritable path fails before the grid
+    grid = classify_region(fam, region)
+    if args.out is not None:
+        region_to_csv(grid, region, args.out)
+    payload = {
+        "region": list(region),
+        "visible_count": sum(col.count(1) for col in grid),
+        "total": region.width * region.height,
+    }
+    return fam.spec, payload, 0
+
+
+def cmd_radius(args):
+    from .cli import check_region
+
+    fam = parse_family(args.poly)
+    region = _parse_region(args.region)
+    check_region(region, args.r)
+    got = find_point_with_radius(fam, region, args.r)
+    payload = {"found": got is not None, "r": args.r, "region": list(region)}
+    if got is not None:
+        payload["point"] = {"x": got.a, "y": got.b}
+    return fam.spec, payload, 0
+
+
+def reproduce_survey(rows_filter: set[int]) -> list[dict]:
+    """`reproduce --target table1`: each BLOCK_SURVEY row in rows_filter (every row when empty)
+    re-checked, a listed corner by its four points and a row without one by a [1,1000]^2 search."""
+    last = len(BLOCK_SURVEY)
+    unknown = sorted(rows_filter - set(range(1, last + 1)))
+    if unknown:
+        raise ValueError(f"no survey row {', '.join(map(str, unknown))}: the survey rows are 1 to {last}")
+    region = Region(1, 1000, 1, 1000)
+    items = []
+    for idx, (a_coeff, b_coeff), corner in BLOCK_SURVEY:
+        if rows_filter and idx not in rows_filter:
+            continue
+        fam = survey_family(a_coeff, b_coeff)
+        name = f"row {idx} (A={a_coeff}, B={b_coeff})"
+        if corner is None:
+            hit = find_block(fam, 2, region)
+            ok = hit is None
+            detail = "no block in [1,1000]^2" if ok else f"unexpected block {hit.to_record()}"
+        else:
+            from .visibility import is_visible_direct
+
+            x, y = corner
+            ok = not any(is_visible_direct(fam, LatticePoint(x + dx, y + dy)) for dx in (0, 1) for dy in (0, 1))
+            detail = f"block at {corner}" if ok else f"listed corner {corner} is not all-invisible"
+        items.append({"name": name, "passed": ok, "detail": detail})
+    return items

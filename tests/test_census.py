@@ -501,7 +501,7 @@ def test_constant_cpq_star_keeps_divisor_factors_beyond_bound():
 )
 def test_fixed_caps_raise_before_any_work(monkeypatch, call):
     monkeypatch.setattr(census, "primes_up_to", lambda *a: pytest.fail("a sieve was allocated"))
-    monkeypatch.setattr(census, "is_visible_direct", lambda *a: pytest.fail("the oracle ran"))
+    monkeypatch.setattr(visibility, "is_visible_direct", lambda *a: pytest.fail("the oracle ran"))
     with pytest.raises(ResourceLimitError):
         call()
 

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyvis
-from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family, polyfam, roots
+from polyvis import census, cli, columns, construct, find_all_blocks, geometry, modulus, parse_family, polyfam, roots, visibility
 from polyvis.arith import factorize, primes_up_to
 from polyvis.cli import main
 from polyvis.geometry import Region
@@ -467,8 +467,8 @@ _NO_FILE = "[Errno 2] No such file or directory: ''"
 def test_empty_flag_value_is_bad_input(capsys, monkeypatch, tmp_path, argv, message):
     """An empty --out or --rows is refused before any work, not read as the flag left out."""
     _forbid_work(monkeypatch)
-    for name in ("_reproduce_illustration", "_reproduce_survey"):
-        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("work started before the flag check"))
+    for module, name in ((construct, "reproduce_illustration"), (geometry, "reproduce_survey")):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("work started before the flag check"))
     monkeypatch.chdir(tmp_path)
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -609,7 +609,7 @@ def _forbid_work(monkeypatch):
         (census, ("density_rows", "coprimality_count", "brute_count", "exact_count_ie", "constant_cp", "rho")),
         (roots.RootTable, ("gcds",)),
         (geometry, ("classify_region", "find_block", "find_all_blocks", "find_point_with_radius")),
-        (cli, ("is_visible",)),
+        (visibility, ("is_visible",)),
         (construct, ("construct_visible", "construct_multi_prime")),
     ):
         for name in names:
@@ -775,6 +775,75 @@ def test_comma_list_errors_are_readable(capsys, argv, message):
     assert err.startswith(f"error: {message}, got ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--poly", "1", "--region", "5,1,1,1"), "empty region 5,1,1,1: min_x 5 > max_x 1"),
+        (("classify", "--poly", "1", "--region", "1,5,6,5"), "empty region 1,5,6,5: min_y 6 > max_y 5"),
+        (("classify", "--poly", "1", "--region", "0,5,1,5"), "region coordinates must be >= 1, got 0,5,1,5: min_x 0 < 1"),
+        (("radius", "--poly", "1", "--region", "1,5,-2,5", "--r", "1"),
+         "region coordinates must be >= 1, got 1,5,-2,5: min_y -2 < 1"),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "0,5"), "empty region 1,0,1,5: min_x 1 > max_x 0"),
+    ],
+)
+def test_region_errors_name_the_bound(capsys, argv, message):
+    """A region off the lattice or empty is bad input, named by its corners and the bound it breaks."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+# One argv each command accepts; the property drops and inserts tokens around them.
+_GOOD_ARGV = {
+    "visible": ["--poly", "1", "--point", "3,5"],
+    "density": ["--poly", "1", "--n", "7", "--out", "d.csv", "--prime-bound", "50"],
+    "count": ["--poly", "1", "--n", "7", "--mode", "oracle"],
+    "construct": ["--point", "3,5", "--prime", "7"],
+    "blocks": ["--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", "b.csv"],
+    "classify": ["--poly", "1", "--region", "1,5,1,5", "--out", "g.csv"],
+    "radius": ["--poly", "1", "--region", "1,5,1,5", "--r", "1"],
+    "reproduce": ["--target", "table1", "--rows", "7"],
+}
+_ARGV_TOKENS = [
+    *_GOOD_ARGV, *sorted({flag for argv in _GOOD_ARGV.values() for flag in argv if flag.startswith("--")}),
+    "--multi", "7,11", "-1", "x", "", "pruned", "illustration", "--foo", "--po", "-h", "--help", "extra",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A command's good argv, or an unknown command's, with tokens dropped and inserted,
+    after at most one token that is no command."""
+    name = draw(st.sampled_from([*_GOOD_ARGV, "frobnicate"]))
+    tokens = [t for t in _GOOD_ARGV.get(name, ["--poly", "1"]) if draw(st.integers(0, 9))]  # drops one in ten
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_ARGV_TOKENS)))
+    return [*draw(st.lists(st.sampled_from(["--foo", "-h", "extra"]), max_size=1)), name, *tokens]
+
+
+def _parse_outcome(parser, argv):
+    """The namespace that parser gives argv, or the exit code; with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+@example(argv=["visible", "--poly", "1", "--point", "3,5", "--extra"])
+@example(argv=["--foo", "visible", "--poly", "1", "--point", "3,5"])
+@example(argv=["-h", "visible"])
+@example(argv=["construct", "--point", "3,5", "--prime", "7", "--multi", "7,11"])
+def test_lean_parser_parses_as_the_full_one(argv):
+    """The parser built for argv[0] alone gives argv the namespace the parser of every
+    command gives it, or prints the same help, usage or error and exits the same way."""
+    assert _parse_outcome(cli._build_parser(argv[0]), argv) == _parse_outcome(cli._build_parser(), argv)
+
+
 def test_argparse_rejects_unknown_mode():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--poly", "1", "--n", "5", "--mode", "guess"])
@@ -916,23 +985,26 @@ _LEAN = {"dataclasses", "inspect", "polyvis.construct"}
 _QUERY = {"polyvis.census", "polyvis.geometry"}
 _INTEGER = {"fractions", "decimal"}  # only the curve construction and the rational oracle need them
 _COLUMNS = {"polyvis.roots", "polyvis.columns", "csv"}  # whole columns, and CSV output
+_VERDICT = {"polyvis.visibility"}  # single-point verdicts: visible and the oracles
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        ((), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
+        ((), _LEAN | _QUERY | _INTEGER | _COLUMNS | _VERDICT | {"polyvis.arith"}),
         (("visible", "--poly", "1,1", "--point", "13,195"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
         (("visible", "--poly", "1", "--point", "12,6"), _LEAN | _QUERY | _INTEGER | _COLUMNS | {"polyvis.arith"}),
-        (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | {"polyvis.geometry", "csv"}),
-        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.geometry", "csv"}),
-        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | _INTEGER | {"polyvis.geometry"}),
-        (("construct", "--point", "3,5"), _QUERY | _COLUMNS),
-        (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY | _COLUMNS),
-        (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | _INTEGER | {"polyvis.census"}),
-        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | _INTEGER | {"polyvis.census"}),
-        (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | _INTEGER | {"polyvis.census"}),
+        (("density", "--poly", "1", "--n", "10"), _LEAN | _INTEGER | _VERDICT | {"polyvis.geometry", "csv"}),
+        (("density", "--poly", "1", "--n", "10", "--out", os.devnull), _LEAN | _INTEGER | _VERDICT | {"polyvis.geometry", "csv"}),
+        (("count", "--poly", "1", "--n", "10", "--mode", "pruned"), _LEAN | _INTEGER | _VERDICT | {"polyvis.geometry"}),
+        (("construct", "--point", "3,5"), _QUERY | _COLUMNS | _VERDICT),
+        (("construct", "--point", "3,5", "--multi", "7,11"), _QUERY | _COLUMNS | _VERDICT),
+        (("classify", "--poly", "1", "--region", "1,5,1,5"), _LEAN | _INTEGER | _VERDICT | {"polyvis.census"}),
+        (("blocks", "--poly", "1", "--size", "2", "--max", "30,30", "--all", "--out", os.devnull), _LEAN | _INTEGER | _VERDICT | {"polyvis.census"}),
+        (("radius", "--poly", "1", "--region", "2,10,2,10", "--r", "1"), _LEAN | _INTEGER | _VERDICT | {"polyvis.census"}),
         (("reproduce", "--target", "table1"), _LEAN | {"polyvis.census"}),
+        (("reproduce", "--target", "illustration"), _QUERY | _COLUMNS | _VERDICT),
+        (("reproduce", "--target", "table1", "--rows", "7,13,14"), _LEAN | _INTEGER | _VERDICT | {"polyvis.census"}),
     ],
 )
 def test_commands_load_only_their_modules(argv, unloaded):
@@ -942,14 +1014,23 @@ def test_commands_load_only_their_modules(argv, unloaded):
     geometry commands leave census unloaded, and the integer commands
     leave fractions and decimal unloaded. visible and construct load
     neither the root kernel, the column search nor csv, and visible not
-    even arith. density writes its CSV as bytes and leaves csv unloaded."""
+    even arith. density writes its CSV as bytes and leaves csv unloaded.
+    Only visible, the oracles and the survey's corner check load
+    visibility: not import polyvis.cli, the sweeps, the grids or construct."""
     assert not _modules_loaded_by(argv) & unloaded
 
 
-@pytest.mark.parametrize("argv, extra", [((), set()), (("construct", "--point", "3,5"), {"polyvis.construct", "polyvis.arith"})])
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ((), set()),
+        (("construct", "--point", "3,5"), {"polyvis.construct", "polyvis.arith"}),
+        (("visible", "--poly", "1,1", "--point", "13,195"), {"polyvis.visibility"}),
+    ],
+)
 def test_start_up_loads_only_the_single_point_layer(argv, extra):
     loaded = {m for m in _modules_loaded_by(argv) if m.split(".")[0] == "polyvis"}
-    assert loaded == {"polyvis", "polyvis.cli", "polyvis.errors", "polyvis.polyfam", "polyvis.visibility"} | extra
+    assert loaded == {"polyvis", "polyvis.cli", "polyvis.errors", "polyvis.polyfam"} | extra
 
 
 _STAR_PROBE = """

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyvis import census, columns, visibility
+from polyvis import census, columns, polyfam, visibility
 from polyvis import (
     DEGREE_CAP,
     LatticePoint,
@@ -513,3 +513,17 @@ def test_far_columns_keep_few_witness_bitsets(spec, kept):
     for a in range(99801, 100_001):
         cache.minimal_moduli(a)
     assert len(cache._witness) <= kept
+
+
+def test_a_column_with_a_large_rough_part_evaluates_few_values(monkeypatch):
+    """A column whose P(a) keeps a part C(a) above Q(a) - Q(a-1) once its primes up to the
+    bound are divided out has no modulus within the bound, and `_moduli` returns at once,
+    reading only P(a) and P(a - 1). Without that exit, each of the far columns 99991..10^5
+    of the degree-16 family reads P(t) at its leaves: about 25,000 values in all, not 300."""
+    cache = ProfileCache(parse_family("7,1,2,3,4,5,6,7,8,9,10,11,12,13,14,3"), 100_000)
+    calls = []
+    eval_ = polyfam.PolyFamily.eval
+    monkeypatch.setattr(polyfam.PolyFamily, "eval", lambda self, x: calls.append(x) or eval_(self, x))
+    for a in range(99991, 100_001):
+        cache.minimal_moduli(a)
+    assert len(calls) <= 1000
